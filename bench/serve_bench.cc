@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/latency_recorder.h"
 #include "data/domain.h"
 #include "data/generator.h"
 #include "data/splitting.h"
@@ -26,7 +27,6 @@
 #include "serve/tcp_server.h"
 #include "tools/line_client.h"
 #include "workload/arrival.h"
-#include "workload/latency_recorder.h"
 #include "workload/open_loop.h"
 #include "workload/traffic.h"
 
@@ -61,7 +61,7 @@ LoadShape ShapeFor(eval::EvalScale scale) {
 
 struct LoadResult {
   double elapsed_s = 0.0;
-  workload::LatencyRecorder::Summary latency;
+  LatencyRecorder::Summary latency;
   uint64_t requests = 0;
   uint64_t pairs = 0;
 };
@@ -70,7 +70,7 @@ struct LoadResult {
 /// each request's latency into the shared (thread-safe) recorder.
 template <typename Body>
 LoadResult RunLoad(const LoadShape& shape, const Body& body) {
-  workload::LatencyRecorder recorder;
+  LatencyRecorder recorder;
   std::vector<std::thread> threads;
   const auto begin = std::chrono::steady_clock::now();
   for (size_t c = 0; c < shape.clients; ++c) {
@@ -88,7 +88,7 @@ LoadResult RunLoad(const LoadShape& shape, const Body& body) {
 }
 
 void AppendSummary(std::string* out,
-                   const workload::LatencyRecorder::Summary& summary) {
+                   const LatencyRecorder::Summary& summary) {
   *out += "\"latency_p50_us\":" + serve::FormatJsonDouble(summary.p50_us) +
           ",\"latency_p95_us\":" + serve::FormatJsonDouble(summary.p95_us) +
           ",\"latency_p99_us\":" + serve::FormatJsonDouble(summary.p99_us) +
@@ -172,7 +172,9 @@ int main() {
   core::LeapmeMatcher matcher(&cached);
   bench::CheckOk(matcher.Fit(*dataset, *training), "Fit");
 
-  serve::MatcherService service(&matcher, &cached);
+  auto registry = serve::ModelRegistry::WrapExisting(&matcher, &cached);
+  bench::CheckOk(registry.status(), "ModelRegistry::WrapExisting");
+  serve::MatcherService service(registry->get());
 
   // Request corpus: windows over all cross-source pairs, as specs (for
   // the in-process phase) and as pre-rendered JSON lines (for TCP).
@@ -207,7 +209,7 @@ int main() {
 
   // Phase 1: straight into the micro-batcher, no sockets.
   LoadResult in_process = RunLoad(
-      shape, [&](size_t client, workload::LatencyRecorder& recorder) {
+      shape, [&](size_t client, LatencyRecorder& recorder) {
         for (size_t request = 0; request < shape.requests_per_client;
              ++request) {
           const auto window = request_pairs(client, request);
@@ -231,7 +233,7 @@ int main() {
     std::exit(1);
   }
   LoadResult tcp = RunLoad(
-      shape, [&](size_t client, workload::LatencyRecorder& recorder) {
+      shape, [&](size_t client, LatencyRecorder& recorder) {
         tools::LineClient connection("127.0.0.1", server.port());
         if (!connection.connected()) {
           std::fprintf(stderr, "cannot connect to 127.0.0.1:%d\n",
@@ -374,14 +376,11 @@ int main() {
   const serve::ServiceStats stats = service.Snapshot();
   server.Stop();
 
-  const workload::LatencyRecorder::Summary open_intended =
-      open_loop.intended.Snapshot();
-  const workload::LatencyRecorder::Summary open_service =
-      open_loop.service.Snapshot();
-  const workload::LatencyRecorder::Summary fleet_intended =
+  const LatencyRecorder::Summary open_intended = open_loop.intended.Snapshot();
+  const LatencyRecorder::Summary open_service = open_loop.service.Snapshot();
+  const LatencyRecorder::Summary fleet_intended =
       fleet_loop.intended.Snapshot();
-  const workload::LatencyRecorder::Summary fleet_service =
-      fleet_loop.service.Snapshot();
+  const LatencyRecorder::Summary fleet_service = fleet_loop.service.Snapshot();
 
   std::string out = "{\"config\":{\"threads\":" +
                     std::to_string(bench::BenchThreads()) +
@@ -467,13 +466,12 @@ int main() {
   };
   report.RawMetric("in_process", load_fragment(in_process));
   report.RawMetric("tcp", load_fragment(tcp));
-  auto summary_fragment =
-      [](const workload::LatencyRecorder::Summary& summary) {
-        std::string fragment = "{";
-        AppendSummary(&fragment, summary);
-        fragment += "}";
-        return fragment;
-      };
+  auto summary_fragment = [](const LatencyRecorder::Summary& summary) {
+    std::string fragment = "{";
+    AppendSummary(&fragment, summary);
+    fragment += "}";
+    return fragment;
+  };
   report.RawMetric("open_loop_service", summary_fragment(open_service));
   report.RawMetric("open_loop_intended", summary_fragment(open_intended));
   report.Metric("open_loop_sent", open_loop.sent);

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "blocking/candidate_pipeline.h"
 #include "common/faults/fault_injector.h"
+#include "common/latency_recorder.h"
 #include "data/domain.h"
 #include "data/generator.h"
 #include "data/splitting.h"
@@ -30,7 +30,6 @@
 #include "serve/tcp_server.h"
 #include "tools/line_client.h"
 #include "workload/arrival.h"
-#include "workload/latency_recorder.h"
 #include "workload/open_loop.h"
 #include "workload/traffic.h"
 
@@ -70,8 +69,8 @@ SoakShape ShapeFor(eval::EvalScale scale) {
   }
 }
 
-std::string SummaryJson(const workload::LatencyRecorder& recorder) {
-  const workload::LatencyRecorder::Summary s = recorder.Snapshot();
+std::string SummaryJson(const LatencyRecorder& recorder) {
+  const LatencyRecorder::Summary s = recorder.Snapshot();
   return "{\"count\":" + std::to_string(s.count) +
          ",\"p50_us\":" + serve::FormatJsonDouble(s.p50_us) +
          ",\"p95_us\":" + serve::FormatJsonDouble(s.p95_us) +
@@ -174,19 +173,18 @@ int main() {
   core::LeapmeMatcher matcher(&cached);
   bench::CheckOk(matcher.Fit(*train_set, *training), "Fit");
 
+  auto registry = serve::ModelRegistry::WrapExisting(&matcher, &cached);
+  bench::CheckOk(registry.status(), "ModelRegistry::WrapExisting");
   serve::ServiceOptions service_options;
   service_options.max_queue_pairs = 8192;
-  auto service = serve::MatcherService::Create(&matcher, &cached,
-                                               service_options);
+  auto service =
+      serve::MatcherService::Create(registry->get(), service_options);
   bench::CheckOk(service.status(), "MatcherService::Create");
 
   // Name-token blocking: at 10^6 properties the category tag token
   // scopes each query to its category's few-hundred candidates without
   // an embedding index over the full catalog.
-  auto pipeline =
-      blocking::CandidatePipeline::Parse(shape.blocking_spec, &cached);
-  bench::CheckOk(pipeline.status(), "CandidatePipeline::Parse");
-  bench::CheckOk((*service)->AttachCatalog(&*catalog, pipeline->get()),
+  bench::CheckOk((*registry)->AttachCatalog(&*catalog, shape.blocking_spec),
                  "AttachCatalog");
   std::fprintf(stderr, "soak_bench: catalog attached and indexed\n");
 

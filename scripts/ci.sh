@@ -70,12 +70,10 @@ PYEOF
 rm -rf "$SMOKE_DIR"
 
 # The full run above covered the epoll reactor at its default single
-# loop; re-run the serve + chaos labels with the reactor pinned
-# explicitly at a multi-loop width so the selection plumbing itself is
-# exercised. (The legacy thread-per-connection backend is retired — the
-# flag parser's rejection of it is a unit test, not a CI tier.)
+# loop; re-run the serve + chaos labels with the reactor pinned at a
+# multi-loop width so the loop-count plumbing itself is exercised.
 echo "== tier 1g: serve + chaos labels on a multi-loop reactor =="
-LEAPME_IO_BACKEND=epoll LEAPME_EVENT_LOOP_THREADS=2 \
+LEAPME_EVENT_LOOP_THREADS=2 \
   ctest --test-dir build --output-on-failure -j "$JOBS" -L 'serve|chaos'
 
 # The sharded cache suite at pinned widths: single-threaded it must be a

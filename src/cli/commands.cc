@@ -76,8 +76,6 @@ constexpr const char* kUsage =
     "             accepts get one Unavailable reply and a close)\n"
     "             [--max-queue 65536] (admission-queue bound in pairs;\n"
     "             0 = unbounded; overflow gets ResourceExhausted)\n"
-    "             [--io-backend epoll] (or $LEAPME_IO_BACKEND; the\n"
-    "             legacy 'threaded' backend is retired)\n"
     "             [--event-loop-threads 1] (epoll reactor loops, or\n"
     "             $LEAPME_EVENT_LOOP_THREADS)\n"
     "             [--index-data FILE] (load a catalog, build the blocker\n"
@@ -645,7 +643,7 @@ Status RunServe(const Flags& flags) {
       {"model", "port", "host", "max-batch", "batch-window-us", "emb-cache",
        "prop-cache", "threads", "embeddings", "domain", "emb-dim", "seed",
        "deadline-ms", "max-connections", "max-queue", "index-data",
-       "blocking", "io-backend", "event-loop-threads", "cache-shards",
+       "blocking", "event-loop-threads", "cache-shards",
        "model-watch", "canary-threshold", "rollback-error-rate"}));
   if (!flags.Has("model")) {
     return Status::InvalidArgument("--model FILE is required");
@@ -761,8 +759,6 @@ Status RunServe(const Flags& flags) {
   serve::ServiceOptions service_options;
   service_options.max_batch = static_cast<size_t>(max_batch);
   service_options.batch_window_us = static_cast<size_t>(batch_window_us);
-  service_options.property_cache_capacity = static_cast<size_t>(prop_cache);
-  service_options.property_cache_shards = static_cast<size_t>(cache_shards);
   service_options.max_queue_pairs = static_cast<size_t>(max_queue);
   LEAPME_ASSIGN_OR_RETURN(
       std::unique_ptr<serve::MatcherService> service,
@@ -773,11 +769,6 @@ Status RunServe(const Flags& flags) {
   server_options.port = static_cast<int>(port);
   server_options.deadline_ms = deadline_ms;
   server_options.max_connections = static_cast<size_t>(max_connections);
-  if (flags.Has("io-backend")) {
-    LEAPME_ASSIGN_OR_RETURN(
-        server_options.io_backend,
-        serve::ParseIoBackend(flags.GetString("io-backend", "epoll")));
-  }
   LEAPME_ASSIGN_OR_RETURN(
       const int64_t event_loop_threads,
       flags.GetIntInRange("event-loop-threads",
@@ -789,10 +780,11 @@ Status RunServe(const Flags& flags) {
   serve::TcpServer server(service.get(), server_options);
   LEAPME_RETURN_IF_ERROR(server.Start());
   std::fprintf(stderr,
-               "leapme serve listening on %s:%d (backend %s, max-batch "
-               "%lld, window %lld us); Ctrl-C to stop, SIGHUP to reload\n",
+               "leapme serve listening on %s:%d (event loops %zu, "
+               "max-batch %lld, window %lld us); Ctrl-C to stop, SIGHUP "
+               "to reload\n",
                server_options.host.c_str(), server.port(),
-               serve::IoBackendName(server_options.io_backend),
+               server_options.event_loop_threads,
                static_cast<long long>(max_batch),
                static_cast<long long>(batch_window_us));
 

@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/string_util.h"
 
@@ -38,48 +37,6 @@ std::string BucketHistogram::BucketLabel(size_t index) const {
   }
   return StrFormat("%llu-%llu", static_cast<unsigned long long>(low),
                    static_cast<unsigned long long>(high));
-}
-
-LatencyRecorder::LatencyRecorder(size_t window)
-    : ring_(std::max<size_t>(1, window)) {}
-
-void LatencyRecorder::Record(double sample) {
-  total_.Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_] = sample;
-  next_ = (next_ + 1) % ring_.size();
-  count_ = std::min(count_ + 1, ring_.size());
-}
-
-namespace {
-
-/// Nearest-rank percentile over an ascending-sorted sample vector.
-double PercentileOfSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const size_t index =
-      std::min(sorted.size() - 1,
-               static_cast<size_t>(std::max(1.0, rank)) - 1);
-  return sorted[index];
-}
-
-}  // namespace
-
-LatencyRecorder::Percentiles LatencyRecorder::Snapshot() const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples.assign(ring_.begin(), ring_.begin() + count_);
-  }
-  Percentiles result;
-  result.samples = samples.size();
-  if (samples.empty()) return result;
-  std::sort(samples.begin(), samples.end());
-  result.p50 = PercentileOfSorted(samples, 0.50);
-  result.p95 = PercentileOfSorted(samples, 0.95);
-  result.p99 = PercentileOfSorted(samples, 0.99);
-  result.max = samples.back();
-  return result;
 }
 
 }  // namespace leapme

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,37 +41,6 @@ class BucketHistogram {
 
  private:
   std::vector<std::atomic<uint64_t>> counts_;
-};
-
-/// Sliding window over the most recent durations (or any scalar samples);
-/// percentiles are computed from a sorted snapshot of the window. Record
-/// and Snapshot are safe to call concurrently.
-class LatencyRecorder {
- public:
-  struct Percentiles {
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-    size_t samples = 0;  // samples currently in the window
-  };
-
-  /// Keeps the last `window` samples (window >= 1).
-  explicit LatencyRecorder(size_t window = 4096);
-
-  void Record(double sample);
-
-  Percentiles Snapshot() const;
-
-  /// Total samples ever recorded (not capped by the window).
-  uint64_t total_recorded() const { return total_.value(); }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> ring_;
-  size_t next_ = 0;
-  size_t count_ = 0;
-  Counter total_;
 };
 
 }  // namespace leapme

@@ -62,13 +62,10 @@ inline AcceptFailure ClassifyAcceptErrno(int error) {
 
 /// Best-effort single-response write used for inline accept-time
 /// rejections: the socket is fresh (empty send buffer), so the small
-/// write almost always completes; on EAGAIN (non-blocking fd) it waits
-/// up to `poll_timeout_ms` per retry for writability. A dedicated accept
-/// thread (threaded backend) can afford the default wait; an event loop
-/// must pass 0 so a rejection storm cannot stall every connection pinned
-/// to it.
-inline void BestEffortSendLine(int fd, std::string line,
-                               int poll_timeout_ms = 100) {
+/// write almost always completes; on EAGAIN (non-blocking fd) it retries
+/// twice without waiting, because it runs on an event loop and a
+/// rejection storm must not stall every connection pinned to it.
+inline void BestEffortSendLine(int fd, std::string line) {
   line.push_back('\n');
   size_t sent = 0;
   int polls_left = 2;
@@ -83,7 +80,7 @@ inline void BestEffortSendLine(int fd, std::string line,
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
         polls_left-- > 0) {
       pollfd pfd = {fd, POLLOUT, 0};
-      ::poll(&pfd, 1, poll_timeout_ms);
+      ::poll(&pfd, 1, /*timeout=*/0);
       continue;
     }
     return;  // peer gone or persistently unwritable: drop the reply

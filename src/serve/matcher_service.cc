@@ -52,36 +52,8 @@ bool IsModelFault(const Status& status) {
 
 MatcherService::MatcherService(ModelRegistry* registry,
                                ServiceOptions options)
-    : registry_(registry),
-      options_(options),
-      latency_(options.latency_window) {
+    : registry_(registry), options_(options) {
   batcher_ = std::thread([this] { BatcherLoop(); });
-}
-
-MatcherService::MatcherService(
-    const core::LeapmeMatcher* matcher,
-    const embedding::CachingEmbeddingModel* embedding_cache,
-    ServiceOptions options)
-    : owned_registry_(ModelRegistry::WrapExisting(
-          matcher, embedding_cache,
-          RegistryOptions{
-              .property_cache_capacity = options.property_cache_capacity,
-              .property_cache_shards = options.property_cache_shards})),
-      registry_(owned_registry_.get()),
-      options_(options),
-      latency_(options.latency_window) {
-  batcher_ = std::thread([this] { BatcherLoop(); });
-}
-
-StatusOr<std::unique_ptr<MatcherService>> MatcherService::Create(
-    const core::LeapmeMatcher* matcher,
-    const embedding::CachingEmbeddingModel* embedding_cache,
-    ServiceOptions options) {
-  if (matcher == nullptr) {
-    return Status::InvalidArgument("MatcherService requires a matcher");
-  }
-  LEAPME_RETURN_IF_ERROR(ValidateServingModel(matcher, embedding_cache));
-  return std::make_unique<MatcherService>(matcher, embedding_cache, options);
 }
 
 StatusOr<std::unique_ptr<MatcherService>> MatcherService::Create(
@@ -384,9 +356,7 @@ StatusOr<std::vector<double>> MatcherService::Score(
     pending.push_back(std::move(pair));
   }
   auto scores = ScoreFeaturePairsBatched(std::move(pending), job, deadline);
-  latency_.Record(std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
+  RecordLatency(start);
   return scores;
 }
 
@@ -456,15 +426,8 @@ StatusOr<std::vector<MatchResult>> MatcherService::TopK(
                       return a.index < b.index;
                     });
   matches.resize(keep);
-  latency_.Record(std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
+  RecordLatency(start);
   return matches;
-}
-
-Status MatcherService::AttachCatalog(const data::Dataset* catalog,
-                                     blocking::CandidatePipeline* pipeline) {
-  return registry_->AttachCatalogUnowned(catalog, pipeline);
 }
 
 StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
@@ -483,7 +446,6 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
         "request deadline expired before blocking");
   }
   const auto start = std::chrono::steady_clock::now();
-  index_requests_.Increment();
 
   IndexMatchOutcome outcome;
   StatusOr<std::vector<data::PropertyId>> blocked =
@@ -514,9 +476,7 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
   outcome.candidate_count = candidates.size();
   outcome.blocking_us = static_cast<double>(blocking_ns) / 1000.0;
   if (candidates.empty()) {
-    latency_.Record(std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
+    RecordLatency(start);
     return outcome;
   }
   if (deadline.expired()) {
@@ -583,9 +543,7 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
     match.source = catalog.source_name(catalog.property(id).source);
   }
   outcome.matches = std::move(matches);
-  latency_.Record(std::chrono::duration<double, std::micro>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
+  RecordLatency(start);
   return outcome;
 }
 
@@ -679,6 +637,7 @@ std::string MatcherService::HandleLine(std::string_view line,
       return TopKResponse(request->id, matches.value(), degraded);
     }
     case Op::kIndexMatch: {
+      index_requests_.Increment();
       bool degraded = false;
       StatusOr<IndexMatchOutcome> outcome =
           IndexMatch(request->query, request->k, deadline, &degraded);
@@ -741,11 +700,8 @@ ServiceStats MatcherService::Snapshot() const {
   stats.deadline_exceeded = deadline_exceeded_.value();
   stats.degraded_responses = degraded_responses_.value();
   stats.faults_injected = faults::FaultInjector::Global().injected();
-  {
-    std::lock_guard<std::mutex> lock(transport_mu_);
-    stats.io_backend = transport_backend_;
-    stats.event_loop_threads = transport_loops_;
-  }
+  stats.event_loop_threads =
+      event_loop_threads_.load(std::memory_order_relaxed);
   stats.epoll_wakeups = epoll_wakeups_.value();
   // Clamp: deltas from concurrently-flushing loops can transiently read
   // below zero.
@@ -764,11 +720,11 @@ ServiceStats MatcherService::Snapshot() const {
               .count());
     }
   }
-  const LatencyRecorder::Percentiles latency = latency_.Snapshot();
-  stats.latency_p50_us = latency.p50;
-  stats.latency_p95_us = latency.p95;
-  stats.latency_p99_us = latency.p99;
-  stats.latency_samples = latency.samples;
+  const LatencyRecorder::Summary latency = latency_.Snapshot();
+  stats.latency_p50_us = latency.p50_us;
+  stats.latency_p95_us = latency.p95_us;
+  stats.latency_p99_us = latency.p99_us;
+  stats.latency_samples = latency.count;
   stats.kernel_path = kernels::ActiveKernelName();
   stats.catalog_properties = generation->catalog_features().size();
   stats.index_candidates = index_candidates_.value();

@@ -11,14 +11,11 @@
 #include <thread>
 #include <vector>
 
-#include "blocking/candidate_pipeline.h"
 #include "common/cache/sharded_cache.h"
 #include "common/deadline.h"
+#include "common/latency_recorder.h"
 #include "common/metrics.h"
 #include "common/status_or.h"
-#include "core/leapme.h"
-#include "data/dataset.h"
-#include "embedding/caching_model.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
 
@@ -30,15 +27,6 @@ struct ServiceOptions {
   /// How long the batcher waits for more pairs after the first one
   /// arrives before flushing a partial batch. 0 flushes immediately.
   size_t batch_window_us = 200;
-  /// Entries kept in the per-property feature-vector cache (rounded up
-  /// to the sharded cache's power-of-two bucket grid).
-  size_t property_cache_capacity = 4096;
-  /// Partitions of the property-feature cache. 0 takes the count from
-  /// LEAPME_CACHE_SHARDS (default 16); `leapme serve` exposes it as
-  /// --cache-shards.
-  size_t property_cache_shards = 0;
-  /// Samples kept in the request-latency window for percentile stats.
-  size_t latency_window = 4096;
   /// Bound on the pairs admitted into the micro-batch queue. A request
   /// whose pairs would push the queue past this limit is refused with a
   /// typed ResourceExhausted (and counted in rejected_overload) instead
@@ -48,8 +36,8 @@ struct ServiceOptions {
 };
 
 /// A thread-safe online-matching session over the generations of a
-/// ModelRegistry (or, in the legacy embedder path, one fixed fitted
-/// matcher wrapped into an internal registry).
+/// ModelRegistry (a loaded one, or a fixed fitted matcher wrapped by
+/// ModelRegistry::WrapExisting).
 ///
 /// Every request acquires the serving ModelGeneration once at entry and
 /// carries that shared_ptr through feature gathering, the micro-batch
@@ -83,27 +71,8 @@ class MatcherService {
   explicit MatcherService(ModelRegistry* registry,
                           ServiceOptions options = {});
 
-  /// Legacy embedder path: wraps `matcher` (fitted, must outlive the
-  /// service) and `embedding_cache` (may be null; only read for stats —
-  /// the matcher's pipeline already uses it for lookups) into an
-  /// internal single-generation registry. Such a service cannot reload.
-  MatcherService(const core::LeapmeMatcher* matcher,
-                 const embedding::CachingEmbeddingModel* embedding_cache,
-                 ServiceOptions options = {});
-
-  /// Validated construction for serving entry points: returns a typed
-  /// FailedPrecondition instead of serving wrong scores when `matcher` is
-  /// unfitted or `embedding_cache` (when given) has a different dimension
-  /// than the one the matcher's feature pipeline was built over. (A
-  /// fingerprint-mismatched model never reaches this point — LoadModel
-  /// already refuses it.)
-  static StatusOr<std::unique_ptr<MatcherService>> Create(
-      const core::LeapmeMatcher* matcher,
-      const embedding::CachingEmbeddingModel* embedding_cache,
-      ServiceOptions options = {});
-
-  /// Validated construction over an initialized registry (the registry's
-  /// own Init already gated the model through ValidateServingModel).
+  /// Validated construction over an initialized registry (Init and
+  /// WrapExisting already gated the model through ValidateServingModel).
   static StatusOr<std::unique_ptr<MatcherService>> Create(
       ModelRegistry* registry, ServiceOptions options = {});
 
@@ -144,26 +113,16 @@ class MatcherService {
       const std::vector<PropertySpec>& candidates, size_t k,
       Deadline deadline, bool* degraded);
 
-  /// Catalog-index mode: attaches a pre-loaded dataset and its blocking
-  /// pipeline to the *current* generation — builds the blocker index and
-  /// precomputes every catalog property's feature vector once so
-  /// index_match requests only compute features for the incoming
-  /// property. Both pointers must outlive the service. Not thread-safe —
-  /// call once, before serving. (Registry-backed servers instead call
-  /// ModelRegistry::AttachCatalog, which also re-attaches on reload.)
-  Status AttachCatalog(const data::Dataset* catalog,
-                       blocking::CandidatePipeline* pipeline);
-
-  /// Answers one index_match request: blocks `query` against the attached
-  /// catalog (FailedPrecondition when none is attached), scores the
-  /// blocked candidates through the micro-batcher, and returns the k best
-  /// catalog properties (score descending, property id ascending on
-  /// ties) plus blocking metrics. When candidate generation itself fails
-  /// (e.g. an injected embedding fault inside an LSH blocker), the
-  /// request degrades to scoring the full catalog instead of failing:
-  /// `*degraded` is set and the response stays usable. Deadline and
-  /// overload semantics match Score/TopK, with the deadline also covering
-  /// the blocking step.
+  /// Answers one index_match request: blocks `query` against the catalog
+  /// attached through ModelRegistry::AttachCatalog (FailedPrecondition
+  /// when none is attached), scores the blocked candidates through the
+  /// micro-batcher, and returns the k best catalog properties (score
+  /// descending, property id ascending on ties) plus blocking metrics.
+  /// When candidate generation itself fails (e.g. an injected embedding
+  /// fault inside an LSH blocker), the request degrades to scoring the
+  /// full catalog instead of failing: `*degraded` is set and the
+  /// response stays usable. Deadline and overload semantics match
+  /// Score/TopK, with the deadline also covering the blocking step.
   StatusOr<IndexMatchOutcome> IndexMatch(const PropertySpec& query, size_t k,
                                          Deadline deadline, bool* degraded);
 
@@ -215,16 +174,12 @@ class MatcherService {
   /// The registry this service scores through (never null).
   ModelRegistry* registry() const { return registry_; }
 
-  /// Transport identification, pushed once by TcpServer::Start so the
-  /// "stats" op reports which I/O backend is serving and how many reactor
-  /// loops it runs (0 for the threaded backend).
-  void SetTransport(const std::string& io_backend,
-                    uint64_t event_loop_threads) {
-    std::lock_guard<std::mutex> lock(transport_mu_);
-    transport_backend_ = io_backend;
-    transport_loops_ = event_loop_threads;
+  /// Reactor loop count, pushed once by TcpServer::Start so the "stats"
+  /// op reports it (0 while no server is attached).
+  void SetEventLoopThreads(uint64_t loops) {
+    event_loop_threads_.store(loops, std::memory_order_relaxed);
   }
-  /// Reactor gauges, pushed by the epoll backend: one call per
+  /// Reactor gauges, pushed by the reactor: one call per
   /// epoll_wait return, and signed deltas tracking the total unflushed
   /// response bytes across all per-connection output queues.
   void OnEpollWakeup() { epoll_wakeups_.Increment(); }
@@ -310,9 +265,14 @@ class MatcherService {
   void ScoreBatchGroup(std::vector<PendingPair>& batch, size_t begin,
                        size_t end);
 
-  /// The generations served; either external (registry ctor) or the
-  /// internal single-generation wrap (legacy ctor).
-  std::unique_ptr<ModelRegistry> owned_registry_;
+  /// Records the service time of one request that started at `start`.
+  void RecordLatency(std::chrono::steady_clock::time_point start) {
+    latency_.RecordNanos(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+  }
+
   ModelRegistry* registry_;
   const ServiceOptions options_;
   std::atomic<bool> draining_{false};
@@ -344,13 +304,12 @@ class MatcherService {
   Counter deadline_exceeded_;
   Counter degraded_responses_;
   std::atomic<uint64_t> connections_active_{0};
-  // Transport info + reactor gauges (SetTransport / OnEpollWakeup /
+  // Reactor gauges (SetEventLoopThreads / OnEpollWakeup /
   // AddWritableBacklog).
-  mutable std::mutex transport_mu_;
-  std::string transport_backend_;
-  uint64_t transport_loops_ = 0;
+  std::atomic<uint64_t> event_loop_threads_{0};
   Counter epoll_wakeups_;
   std::atomic<int64_t> writable_backlog_bytes_{0};
+  // Service time of every Score/TopK/IndexMatch call since start.
   LatencyRecorder latency_;
 };
 

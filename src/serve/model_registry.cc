@@ -58,8 +58,8 @@ ModelGeneration::ModelGeneration(
       info_(std::move(info)) {}
 
 Status ModelGeneration::AttachCatalog(
-    const data::Dataset* catalog, blocking::CandidatePipeline* pipeline,
-    std::unique_ptr<blocking::CandidatePipeline> owned_pipeline) {
+    const data::Dataset* catalog,
+    std::unique_ptr<blocking::CandidatePipeline> pipeline) {
   if (catalog == nullptr) {
     return Status::InvalidArgument("AttachCatalog requires a dataset");
   }
@@ -90,8 +90,7 @@ Status ModelGeneration::AttachCatalog(
     }
   });
   catalog_ = catalog;
-  owned_pipeline_ = std::move(owned_pipeline);
-  catalog_pipeline_ = pipeline;
+  catalog_pipeline_ = std::move(pipeline);
   catalog_features_ = std::move(precomputed);
   return Status::OK();
 }
@@ -107,10 +106,11 @@ ModelRegistry::ModelRegistry(Loader loader, RegistryOptions options)
   canary_ring_.reserve(options_.canary_capacity);
 }
 
-std::unique_ptr<ModelRegistry> ModelRegistry::WrapExisting(
+StatusOr<std::unique_ptr<ModelRegistry>> ModelRegistry::WrapExisting(
     const core::LeapmeMatcher* matcher,
     const embedding::CachingEmbeddingModel* embedding_cache,
     RegistryOptions options) {
+  LEAPME_RETURN_IF_ERROR(ValidateServingModel(matcher, embedding_cache));
   auto registry = std::make_unique<ModelRegistry>(Loader(), options);
   ModelInfo info;
   info.version = registry->next_version_++;
@@ -171,17 +171,6 @@ Status ModelRegistry::AttachCatalog(const data::Dataset* catalog,
       const_cast<ModelGeneration&>(*current));
 }
 
-Status ModelRegistry::AttachCatalogUnowned(
-    const data::Dataset* catalog, blocking::CandidatePipeline* pipeline) {
-  std::shared_ptr<const ModelGeneration> current = Acquire();
-  if (current == nullptr) {
-    return Status::FailedPrecondition(
-        "AttachCatalog requires an initialized registry");
-  }
-  return const_cast<ModelGeneration&>(*current).AttachCatalog(catalog,
-                                                              pipeline);
-}
-
 Status ModelRegistry::AttachCatalogToGeneration(
     ModelGeneration& generation) const {
   if (catalog_ == nullptr) {
@@ -191,8 +180,7 @@ Status ModelRegistry::AttachCatalogToGeneration(
       std::unique_ptr<blocking::CandidatePipeline> pipeline,
       blocking::CandidatePipeline::Parse(catalog_spec_,
                                          generation.embedding_cache()));
-  blocking::CandidatePipeline* raw = pipeline.get();
-  return generation.AttachCatalog(catalog_, raw, std::move(pipeline));
+  return generation.AttachCatalog(catalog_, std::move(pipeline));
 }
 
 std::shared_ptr<const ModelGeneration> ModelRegistry::Acquire() const {
@@ -228,7 +216,7 @@ ModelRegistry::BuildCandidate(const std::string& path,
   // and the model.load fault point (inside LoadModel) fires here.
   LEAPME_ASSIGN_OR_RETURN(ModelGeneration::Resources resources,
                           loader_(path));
-  // Stage 2: the same admission gate MatcherService::Create applies.
+  // Stage 2: the same admission gate Init and WrapExisting apply.
   LEAPME_RETURN_IF_ERROR(ValidateServingModel(
       resources.matcher.get(), resources.embedding_cache.get()));
 

@@ -43,11 +43,11 @@ struct ModelInfo {
 /// be stat'ed. Used for ModelInfo and `--model-watch` polling.
 int64_t FileMtimeSeconds(const std::string& path);
 
-/// The serving-admission checks shared by MatcherService::Create and the
-/// registry's staged reload: refuses a null/unfitted matcher and an
-/// embedding cache whose dimension disagrees with the matcher's feature
-/// pipeline. (A fingerprint-mismatched model never reaches this point —
-/// LoadModel already refuses it.)
+/// The serving-admission checks shared by every way a model enters a
+/// registry (Init, WrapExisting, staged reload): refuses a null/unfitted
+/// matcher and an embedding cache whose dimension disagrees with the
+/// matcher's feature pipeline. (A fingerprint-mismatched model never
+/// reaches this point — LoadModel already refuses it.)
 Status ValidateServingModel(
     const core::LeapmeMatcher* matcher,
     const embedding::CachingEmbeddingModel* embedding_cache);
@@ -100,18 +100,16 @@ class ModelGeneration {
   /// its lock), after the candidate has survived admission.
   void set_version(uint64_t version) { info_.version = version; }
 
-  /// Builds the blocker index over `catalog` and precomputes every
-  /// catalog property's feature vector with this generation's matcher.
-  /// `pipeline` must outlive the generation unless passed as
-  /// `owned_pipeline` (pass the same pointer twice is wrong — give one).
-  /// Not thread-safe; call before the generation starts serving.
-  Status AttachCatalog(
-      const data::Dataset* catalog, blocking::CandidatePipeline* pipeline,
-      std::unique_ptr<blocking::CandidatePipeline> owned_pipeline = nullptr);
+  /// Builds the blocker index over `catalog` with `pipeline`, which the
+  /// generation takes over, and precomputes every catalog property's
+  /// feature vector with this generation's matcher. Not thread-safe;
+  /// call before the generation starts serving.
+  Status AttachCatalog(const data::Dataset* catalog,
+                       std::unique_ptr<blocking::CandidatePipeline> pipeline);
 
   const data::Dataset* catalog() const { return catalog_; }
   blocking::CandidatePipeline* catalog_pipeline() const {
-    return catalog_pipeline_;
+    return catalog_pipeline_.get();
   }
   const std::vector<FeaturePtr>& catalog_features() const {
     return catalog_features_;
@@ -127,15 +125,17 @@ class ModelGeneration {
   ModelInfo info_;
 
   const data::Dataset* catalog_ = nullptr;
-  std::unique_ptr<blocking::CandidatePipeline> owned_pipeline_;
-  blocking::CandidatePipeline* catalog_pipeline_ = nullptr;
+  std::unique_ptr<blocking::CandidatePipeline> catalog_pipeline_;
   std::vector<FeaturePtr> catalog_features_;
 };
 
 struct RegistryOptions {
-  /// Sizing of each generation's property-feature cache (mirrors
-  /// ServiceOptions::property_cache_{capacity,shards}).
+  /// Entries kept in each generation's property-feature cache (rounded
+  /// up to the sharded cache's power-of-two bucket grid).
   size_t property_cache_capacity = 4096;
+  /// Partitions of the property-feature cache. 0 takes the count from
+  /// LEAPME_CACHE_SHARDS (default 16); `leapme serve` exposes it as
+  /// --cache-shards.
   size_t property_cache_shards = 0;
   /// Largest |candidate - current| score difference the shadow canary
   /// tolerates on any captured live pair. Scores live in [0, 1], so 1.0
@@ -189,7 +189,7 @@ struct RegistryStats {
 /// Reload path (serialized; a concurrent attempt is rejected):
 ///   1. load  — the Loader builds a sidecar (base embeddings + cache +
 ///              LoadModel), nothing shared with the serving generation;
-///   2. check — ValidateServingModel, the same gate Create applies;
+///   2. check — ValidateServingModel, the same gate Init applies;
 ///   3. canary — shadow-score the captured sample of recent live pairs
 ///              on both generations; reject on error or divergence
 ///              beyond canary_threshold;
@@ -214,10 +214,15 @@ class ModelRegistry {
 
   explicit ModelRegistry(Loader loader, RegistryOptions options = {});
 
-  /// Wraps externally owned, already-validated objects as generation 1 —
-  /// the in-process embedder path (tests, benches). Reload requires a
-  /// Loader, so a wrapped registry serves a fixed model.
-  static std::unique_ptr<ModelRegistry> WrapExisting(
+  /// Wraps externally owned objects as generation 1 — the in-process
+  /// embedder path (tests, benches). `matcher` (fitted) and
+  /// `embedding_cache` (may be null: no embedding-cache stats, and a
+  /// catalog spec that needs embeddings fails to parse) must outlive the
+  /// registry. Runs ValidateServingModel, so a null or unfitted matcher
+  /// or a cache of the wrong dimension is refused here instead of
+  /// serving wrong scores. Reload requires a Loader, so a wrapped
+  /// registry serves a fixed model.
+  static StatusOr<std::unique_ptr<ModelRegistry>> WrapExisting(
       const core::LeapmeMatcher* matcher,
       const embedding::CachingEmbeddingModel* embedding_cache,
       RegistryOptions options = {});
@@ -229,15 +234,10 @@ class ModelRegistry {
   /// Catalog-index mode: parses `blocking_spec` against the current
   /// generation's embedding cache, indexes `catalog`, and remembers both
   /// so every future reload rebuilds the index on its own generation.
-  /// `catalog` must outlive the registry. Call after Init, before
-  /// serving.
+  /// `catalog` must outlive the registry. Call after Init (or
+  /// WrapExisting), before serving.
   Status AttachCatalog(const data::Dataset* catalog,
                        const std::string& blocking_spec);
-
-  /// Legacy single-generation variant for wrapped registries: attaches
-  /// an externally owned pipeline to the current generation only.
-  Status AttachCatalogUnowned(const data::Dataset* catalog,
-                              blocking::CandidatePipeline* pipeline);
 
   /// The serving generation. Never null after a successful Init /
   /// WrapExisting. Hold the returned pointer for the whole request.

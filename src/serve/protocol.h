@@ -195,15 +195,16 @@ struct ServiceStats {
   uint64_t deadline_exceeded = 0;
   uint64_t degraded_responses = 0;
   uint64_t faults_injected = 0;
-  /// Transport identity and reactor gauges (PR: epoll reactor backend).
-  /// `io_backend` is "epoll" (empty before a TcpServer attaches),
-  /// `event_loop_threads` the reactor loop count,
+  /// Transport identity and reactor gauges. `io_backend` is the constant
+  /// "epoll" (the only transport; kept so clients reading it still see
+  /// it), `event_loop_threads` the reactor loop count (0 before a
+  /// TcpServer attaches),
   /// `epoll_wakeups` cumulative epoll_wait returns across all
   /// loops, and `writable_backlog_bytes` the response bytes currently
   /// buffered across per-connection output queues waiting for writable
   /// sockets — the reactor-side analogue of queue_depth for the write
   /// path (a climbing value means peers are not keeping up with reads).
-  std::string io_backend;
+  std::string io_backend = "epoll";
   uint64_t event_loop_threads = 0;
   uint64_t epoll_wakeups = 0;
   uint64_t writable_backlog_bytes = 0;

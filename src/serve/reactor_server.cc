@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -222,7 +223,7 @@ void ReactorServer::EventLoop::Run() {
         listen_fd_ = -1;
       }
       // Stop reading new requests everywhere; what was already received
-      // in full still gets answered, mirroring the threaded drain.
+      // in full still gets answered.
       std::vector<uint64_t> tokens;
       tokens.reserve(connections_.size());
       for (auto& [tok, conn] : connections_) {
@@ -338,8 +339,7 @@ void ReactorServer::EventLoop::HandleListener() {
                           std::nullopt,
                           Status::Unavailable(
                               "server out of file descriptors; retry later"),
-                          kRejectRetryAfterMs),
-                /*poll_timeout_ms=*/0);
+                          kRejectRetryAfterMs));
             server_->service_->OnConnectionRejected();
             ::close(shed);
           }
@@ -356,6 +356,11 @@ void ReactorServer::EventLoop::HandleListener() {
           return;
       }
     }
+    // Replies are small writes. With Nagle on, a reply written while the
+    // previous one is still unacknowledged waits for the peer's ACK, and
+    // a peer that delays its ACKs stalls every pipelined reply.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     if (faults::InjectError("serve.accept")) {
       // Simulated accept failure: the connection is dropped before it is
       // ever served; clients see a close and retry.
@@ -369,16 +374,13 @@ void ReactorServer::EventLoop::HandleListener() {
       // Inline rejection: one Unavailable reply with a retry hint on the
       // fresh socket, then close — clients back off instead of piling
       // into invisible kernel queues.
-      // poll_timeout_ms 0: this runs on the event-loop thread, which must
-      // not block per rejected connection during an overload storm.
       BestEffortSendLine(
           fd, ErrorResponse(std::nullopt,
                             Status::Unavailable(StrFormat(
                                 "serving %zu connections (cap %zu); retry "
                                 "later",
                                 active, cap)),
-                            kRejectRetryAfterMs),
-          /*poll_timeout_ms=*/0);
+                            kRejectRetryAfterMs));
       server_->service_->OnConnectionRejected();
       ::close(fd);
       continue;

@@ -20,7 +20,7 @@
 
 namespace leapme::serve::internal {
 
-/// Epoll readiness-loop serving backend (DESIGN.md §16).
+/// The epoll readiness-loop transport behind TcpServer (DESIGN.md §16).
 ///
 /// Structure: `event_loop_threads` reactor loops, each owning an epoll
 /// set, an eventfd, and the full state of the connections pinned to it;
@@ -40,21 +40,24 @@ namespace leapme::serve::internal {
 ///           remain -> restart/clear the request deadline -> dispatch
 ///           the next pipelined line
 ///
-/// All overload controls map onto the same wire contract as the threaded
-/// backend: max_connections rejects inline at accept with Unavailable +
-/// retry_after_ms; deadline_ms spans read -> batch -> score -> write
-/// (a stalled request line gets a typed DeadlineExceeded, a stalled
-/// reader is disconnected when its response outlives the budget); the
-/// serve.accept / serve.read / serve.write fault points bracket the same
-/// operations they bracket on the threaded paths.
-class ReactorServer : public ServerImpl {
+/// Overload controls and the wire contract: max_connections rejects
+/// inline at accept with Unavailable + retry_after_ms; deadline_ms spans
+/// read -> batch -> score -> write (a stalled request line gets a typed
+/// DeadlineExceeded, a stalled reader is disconnected when its response
+/// outlives the budget); the serve.accept / serve.read / serve.write
+/// fault points bracket the accept, recv and send calls. Every accepted
+/// socket gets TCP_NODELAY, so a reply is never held back waiting for
+/// the peer to acknowledge the previous one.
+///
+/// Stop() is idempotent and callable after a failed Start().
+class ReactorServer {
  public:
   ReactorServer(MatcherService* service, const ServerOptions& options);
-  ~ReactorServer() override;
+  ~ReactorServer();
 
-  Status Start() override;
-  void Stop() override;
-  int port() const override { return port_; }
+  Status Start();
+  void Stop();
+  int port() const { return port_; }
 
  private:
   class EventLoop;
@@ -135,8 +138,8 @@ class ReactorServer : public ServerImpl {
     void FlushOutput(Connection* conn);
     void QueueResponse(Connection* conn, std::string response);
     void UpdateWriteInterest(Connection* conn);
-    /// Restarts (or clears) the deadline after a line was answered,
-    /// mirroring the threaded backend's per-line budget.
+    /// Restarts (or clears) the deadline after a line was answered, so
+    /// every pipelined line gets a budget of its own.
     void ResetDeadlineAfterAnswer(Connection* conn);
     void CheckDeadlines();
     int NextTimeoutMs() const;

@@ -14,44 +14,6 @@
 
 namespace leapme::serve {
 
-StatusOr<IoBackend> ParseIoBackend(const std::string& name) {
-  if (name == "epoll") {
-    return IoBackend::kEpoll;
-  }
-  if (name == "threaded") {
-    return Status::InvalidArgument(
-        "the 'threaded' io backend (one thread per connection) was retired "
-        "after the epoll reactor became the default; use --io-backend epoll "
-        "and tune --event-loop-threads instead");
-  }
-  return Status::InvalidArgument("unknown io backend '" + name +
-                                 "' (expected 'epoll')");
-}
-
-const char* IoBackendName(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kEpoll:
-      return "epoll";
-  }
-  return "unknown";
-}
-
-IoBackend IoBackendFromEnv() {
-  const char* value = std::getenv("LEAPME_IO_BACKEND");
-  if (value == nullptr || *value == '\0') {
-    return IoBackend::kEpoll;
-  }
-  const StatusOr<IoBackend> parsed = ParseIoBackend(value);
-  if (!parsed.ok()) {
-    // Environments outlive flag migrations: a retired or malformed value
-    // degrades to the reactor with a warning instead of refusing to serve.
-    LEAPME_LOG(Warning) << "LEAPME_IO_BACKEND='" << value << "': "
-                        << parsed.status().message() << "; using epoll";
-    return IoBackend::kEpoll;
-  }
-  return parsed.value();
-}
-
 size_t EventLoopThreadsFromEnv() {
   const char* value = std::getenv("LEAPME_EVENT_LOOP_THREADS");
   if (value == nullptr || *value == '\0') {
@@ -67,11 +29,6 @@ size_t EventLoopThreadsFromEnv() {
   return static_cast<size_t>(std::min<long>(parsed, 64));
 }
 
-
-
-// ---------------------------------------------------------------------------
-// Facade
-
 TcpServer::TcpServer(MatcherService* service, ServerOptions options)
     : service_(service), options_(std::move(options)) {}
 
@@ -81,27 +38,27 @@ Status TcpServer::Start() {
   if (started_) {
     return Status::FailedPrecondition("server already started");
   }
-  impl_ = std::make_unique<internal::ReactorServer>(service_, options_);
-  const Status status = impl_->Start();
+  reactor_ = std::make_unique<internal::ReactorServer>(service_, options_);
+  const Status status = reactor_->Start();
   if (!status.ok()) {
-    impl_.reset();
+    reactor_.reset();
     return status;
   }
-  service_->SetTransport(IoBackendName(options_.io_backend),
-                         std::max<size_t>(options_.event_loop_threads, 1));
+  service_->SetEventLoopThreads(
+      std::max<size_t>(options_.event_loop_threads, 1));
   service_->SetDraining(false);
   started_ = true;
   return Status::OK();
 }
 
-int TcpServer::port() const { return impl_ ? impl_->port() : -1; }
+int TcpServer::port() const { return reactor_ ? reactor_->port() : -1; }
 
 void TcpServer::Stop() {
-  if (impl_) {
+  if (reactor_) {
     // Flip readiness first so health checks observe the drain before the
     // listener closes.
     service_->SetDraining(true);
-    impl_->Stop();
+    reactor_->Stop();
   }
   started_ = false;
 }

@@ -6,31 +6,10 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/status_or.h"
 #include "serve/matcher_service.h"
 
 namespace leapme::serve {
 
-/// How the server multiplexes connections onto OS threads.
-enum class IoBackend {
-  /// Non-blocking epoll readiness loop(s) owning per-connection state
-  /// machines, with a small fixed worker pool executing requests. Scales
-  /// to tens of thousands of idle keep-alive connections (DESIGN.md §16).
-  kEpoll,
-};
-
-/// Parses "epoll". "threaded" — the retired thread-per-connection
-/// design, selectable for one release after the reactor landed — gets a
-/// dedicated InvalidArgument naming the migration path; anything else is
-/// a plain InvalidArgument.
-StatusOr<IoBackend> ParseIoBackend(const std::string& name);
-const char* IoBackendName(IoBackend backend);
-
-/// Backend selected by $LEAPME_IO_BACKEND; "epoll" is the only live
-/// value. A malformed or retired value logs a warning and falls back to
-/// epoll (environments migrate more slowly than flags, so the env path
-/// degrades gracefully where the explicit --io-backend flag refuses).
-IoBackend IoBackendFromEnv();
 /// Event-loop thread count from $LEAPME_EVENT_LOOP_THREADS (clamped to
 /// [1, 64]); defaults to 1 — one reactor loop drives tens of thousands
 /// of connections, more loops spread readiness work across cores.
@@ -59,8 +38,6 @@ struct ServerOptions {
   /// a retry_after_ms hint) and closed, so clients shed instead of
   /// queueing invisibly in the kernel backlog.
   size_t max_connections = 0;
-  /// Connection multiplexing strategy; see IoBackend.
-  IoBackend io_backend = IoBackendFromEnv();
   /// Reactor loops. Connections are assigned round-robin to loops at
   /// accept time and stay pinned, so all state of one connection is
   /// touched by exactly one loop thread.
@@ -77,24 +54,13 @@ struct ServerOptions {
 };
 
 namespace internal {
-
-/// One serving backend behind the TcpServer facade. Implementations must
-/// make Stop() idempotent and callable after a failed Start().
-class ServerImpl {
- public:
-  virtual ~ServerImpl() = default;
-  virtual Status Start() = 0;
-  virtual void Stop() = 0;
-  virtual int port() const = 0;
-};
-
+class ReactorServer;
 }  // namespace internal
 
 /// Line-delimited JSON scoring server. Each request line is answered
 /// through MatcherService::HandleLine (which funnels all scoring into
 /// the shared micro-batcher); connections are multiplexed by the epoll
-/// reactor (DESIGN.md §16 — the legacy thread-per-connection backend was
-/// retired one release after the reactor replaced it as the default).
+/// reactor (internal::ReactorServer, DESIGN.md §16).
 ///
 /// Lifecycle: Start() binds/listens and starts serving; Stop() drains
 /// gracefully — it stops accepting, lets requests already received
@@ -132,7 +98,7 @@ class TcpServer {
  private:
   MatcherService* service_;
   ServerOptions options_;
-  std::unique_ptr<internal::ServerImpl> impl_;
+  std::unique_ptr<internal::ReactorServer> reactor_;
   bool started_ = false;
 };
 

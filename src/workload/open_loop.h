@@ -6,7 +6,7 @@
 #include <functional>
 
 #include "workload/arrival.h"
-#include "workload/latency_recorder.h"
+#include "common/latency_recorder.h"
 
 namespace leapme::workload {
 

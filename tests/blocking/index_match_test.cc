@@ -1,8 +1,8 @@
-// Serve-side tests for the catalog-index mode: AttachCatalog +
-// index_match round trips through MatcherService, blocking stats in the
-// stats op, deadline handling, and the chaos case — an embedding fault
-// during candidate generation degrades to a full-catalog scan instead of
-// failing the request.
+// Serve-side tests for the catalog-index mode: ModelRegistry's
+// AttachCatalog + index_match round trips through MatcherService,
+// blocking stats in the stats op, deadline handling, and the chaos case —
+// an embedding fault during candidate generation degrades to a
+// full-catalog scan instead of failing the request.
 
 #include <unistd.h>
 
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blocking/candidate_pipeline.h"
 #include "common/deadline.h"
 #include "common/faults/fault_injector.h"
 #include "core/leapme.h"
@@ -88,15 +87,12 @@ class IndexMatchTest : public ::testing::Test {
   /// A fresh service with the catalog attached through `spec`.
   std::unique_ptr<MatcherService> MakeIndexedService(
       const std::string& spec = "union(name-token,embedding-lsh)") {
-    auto pipeline = blocking::CandidatePipeline::Parse(spec, cached_model_);
-    EXPECT_TRUE(pipeline.ok()) << pipeline.status();
-    pipeline_ = std::move(pipeline).value();
-    auto service = std::make_unique<MatcherService>(matcher_, cached_model_);
-    EXPECT_TRUE(service->AttachCatalog(catalog_, pipeline_.get()).ok());
-    return service;
+    registry_ = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+    EXPECT_TRUE(registry_->AttachCatalog(catalog_, spec).ok());
+    return std::make_unique<MatcherService>(registry_.get());
   }
 
-  std::unique_ptr<blocking::CandidatePipeline> pipeline_;
+  std::unique_ptr<ModelRegistry> registry_;
 
   static data::Dataset* catalog_;
   static embedding::SyntheticEmbeddingModel* base_model_;
@@ -160,7 +156,8 @@ TEST_F(IndexMatchTest, RepeatedQueriesAreDeterministic) {
 }
 
 TEST_F(IndexMatchTest, WithoutCatalogIsFailedPrecondition) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const std::string response =
       service.HandleLine(IndexMatchRequest(*catalog_, 0, 3));
   auto parsed = JsonValue::Parse(response);
@@ -168,6 +165,11 @@ TEST_F(IndexMatchTest, WithoutCatalogIsFailedPrecondition) {
   EXPECT_FALSE(parsed->Find("ok")->AsBool());
   EXPECT_EQ(parsed->Find("error")->Find("code")->AsString(),
             "FailedPrecondition");
+  // A refused index_match still counts as a request.
+  const ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.index_requests, 1u);
+  EXPECT_EQ(stats.request_errors, 1u);
 }
 
 TEST_F(IndexMatchTest, MissingPropertyFieldIsInvalidArgument) {

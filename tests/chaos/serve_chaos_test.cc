@@ -249,7 +249,8 @@ TEST_F(ServeChaosTest, InjectedLoadErrorIsTypedAndRecoverable) {
 // Graceful degradation in the scoring service.
 
 TEST_F(ServeChaosTest, EmbeddingLookupFaultDegradesInsteadOfFailing) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const auto pairs = SomePairs(6);
   const std::string request = ScoreRequestJson(*dataset_, pairs, 7);
 
@@ -291,7 +292,8 @@ TEST_F(ServeChaosTest, EmbeddingLookupFaultDegradesInsteadOfFailing) {
 }
 
 TEST_F(ServeChaosTest, DegradedScoresDifferButStayInRange) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const auto pairs = SomePairs(6);
   bool degraded = false;
   std::vector<PropertyPairSpec> specs;
@@ -309,7 +311,8 @@ TEST_F(ServeChaosTest, DegradedScoresDifferButStayInRange) {
 }
 
 TEST_F(ServeChaosTest, AllocFaultShedsWithRetryHint) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const auto pairs = SomePairs(4);
   const std::string request = ScoreRequestJson(*dataset_, pairs, 3);
 
@@ -337,7 +340,8 @@ TEST_F(ServeChaosTest, AllocFaultShedsWithRetryHint) {
 }
 
 TEST_F(ServeChaosTest, InjectedDelayPastDeadlineIsTyped) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const auto pairs = SomePairs(2);
   const std::string request = ScoreRequestJson(*dataset_, pairs, 5);
 
@@ -358,7 +362,8 @@ TEST_F(ServeChaosTest, InjectedDelayPastDeadlineIsTyped) {
 // The TCP transport under injected socket faults.
 
 TEST_F(ServeChaosTest, ShortReadsAndWritesStillFrameCorrectly) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
   const auto pairs = SomePairs(4);
@@ -388,7 +393,8 @@ TEST_F(ServeChaosTest, ShortReadsAndWritesStillFrameCorrectly) {
 }
 
 TEST_F(ServeChaosTest, InjectedReadErrorDropsTheConnectionCleanly) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -414,7 +420,8 @@ TEST_F(ServeChaosTest, InjectedReadErrorDropsTheConnectionCleanly) {
 }
 
 TEST_F(ServeChaosTest, InjectedAcceptFaultDropsThenRecovers) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -440,16 +447,16 @@ TEST_F(ServeChaosTest, InjectedAcceptFaultDropsThenRecovers) {
 }
 
 // ---------------------------------------------------------------------
-// Transport faults pinned to the epoll reactor. The tests above run on
-// the session default backend (epoll unless LEAPME_IO_BACKEND overrides
-// it, single loop); these re-run the serve.read / serve.write faults
-// explicitly on the event loop with 4 loop threads, so multi-loop
-// dispatch is always chaos-covered regardless of environment.
+// Transport faults on a multi-loop reactor. The tests above run at the
+// session default loop count (one unless LEAPME_EVENT_LOOP_THREADS
+// overrides it); these re-run the serve.read / serve.write faults with
+// 4 loop threads, so multi-loop dispatch is always chaos-covered
+// regardless of environment.
 
 TEST_F(ServeChaosTest, ReactorShortIoFaultsFrameCorrectlyAcrossFourLoops) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
-  options.io_backend = IoBackend::kEpoll;
   options.event_loop_threads = 4;
   TcpServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -489,9 +496,9 @@ TEST_F(ServeChaosTest, ReactorShortIoFaultsFrameCorrectlyAcrossFourLoops) {
 }
 
 TEST_F(ServeChaosTest, ReactorInjectedReadErrorDropsConnectionCleanly) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
-  options.io_backend = IoBackend::kEpoll;
   options.event_loop_threads = 4;
   TcpServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
@@ -515,9 +522,9 @@ TEST_F(ServeChaosTest, ReactorInjectedReadErrorDropsConnectionCleanly) {
 }
 
 TEST_F(ServeChaosTest, ReactorInjectedWriteErrorDropsConnectionCleanly) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
-  options.io_backend = IoBackend::kEpoll;
   options.event_loop_threads = 4;
   TcpServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());

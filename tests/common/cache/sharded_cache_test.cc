@@ -423,7 +423,9 @@ TEST(ShardedCacheChaosTest, DegradedScoresAreNeverCached) {
           .Fit(dataset, data::BuildTrainingPairs(dataset, sources, 2.0, rng)
                             .value())
           .ok());
-  serve::MatcherService service(&matcher, &cached);
+  auto registry = serve::ModelRegistry::WrapExisting(&matcher, &cached);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  serve::MatcherService service(registry->get());
 
   std::vector<data::PropertyPair> pairs = dataset.AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 8));
@@ -448,7 +450,9 @@ TEST(ShardedCacheChaosTest, DegradedScoresAreNeverCached) {
   // Reference: the same request against a never-stormed twin service.
   // Its hit/miss profile is what a truly cold cache produces (duplicate
   // properties within the request hit once their first resolve lands).
-  serve::MatcherService twin(&matcher, &cached);
+  auto twin_registry = serve::ModelRegistry::WrapExisting(&matcher, &cached);
+  ASSERT_TRUE(twin_registry.ok()) << twin_registry.status();
+  serve::MatcherService twin(twin_registry->get());
   ASSERT_TRUE(twin.Score(specs, Deadline::Infinite(), &degraded).ok());
   const serve::ServiceStats cold = twin.Snapshot();
 

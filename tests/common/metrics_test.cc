@@ -64,62 +64,5 @@ TEST(BucketHistogramTest, LabelsDescribeRanges) {
   EXPECT_EQ(histogram.BucketLabel(3), "8+");
 }
 
-TEST(LatencyRecorderTest, EmptyWindowIsAllZero) {
-  LatencyRecorder recorder(16);
-  LatencyRecorder::Percentiles p = recorder.Snapshot();
-  EXPECT_EQ(p.samples, 0u);
-  EXPECT_EQ(p.p50, 0.0);
-  EXPECT_EQ(p.p99, 0.0);
-}
-
-TEST(LatencyRecorderTest, PercentilesFromSortedWindow) {
-  LatencyRecorder recorder(100);
-  for (int i = 1; i <= 100; ++i) {
-    recorder.Record(static_cast<double>(i));
-  }
-  LatencyRecorder::Percentiles p = recorder.Snapshot();
-  EXPECT_EQ(p.samples, 100u);
-  EXPECT_EQ(recorder.total_recorded(), 100u);
-  // Nearest-rank percentiles over 1..100.
-  EXPECT_GE(p.p50, 49.0);
-  EXPECT_LE(p.p50, 51.0);
-  EXPECT_GE(p.p95, 94.0);
-  EXPECT_LE(p.p95, 96.0);
-  EXPECT_GE(p.p99, 98.0);
-  EXPECT_LE(p.p99, 100.0);
-  EXPECT_EQ(p.max, 100.0);
-}
-
-TEST(LatencyRecorderTest, WindowEvictsOldestSamples) {
-  LatencyRecorder recorder(4);
-  for (int i = 0; i < 100; ++i) {
-    recorder.Record(1000.0);  // all evicted below
-  }
-  recorder.Record(1.0);
-  recorder.Record(2.0);
-  recorder.Record(3.0);
-  recorder.Record(4.0);
-  LatencyRecorder::Percentiles p = recorder.Snapshot();
-  EXPECT_EQ(p.samples, 4u);
-  EXPECT_EQ(p.max, 4.0);
-  EXPECT_EQ(recorder.total_recorded(), 104u);
-}
-
-TEST(LatencyRecorderTest, ConcurrentRecordsDoNotCrash) {
-  LatencyRecorder recorder(64);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&recorder] {
-      for (int i = 0; i < 1000; ++i) {
-        recorder.Record(static_cast<double>(i));
-        if (i % 100 == 0) recorder.Snapshot();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(recorder.total_recorded(), 4000u);
-  EXPECT_EQ(recorder.Snapshot().samples, 64u);
-}
-
 }  // namespace
 }  // namespace leapme

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/data/domain_printer.h"
+
 namespace leapme::data {
 namespace {
 

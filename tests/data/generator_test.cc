@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/domain.h"
+#include "tests/data/domain_printer.h"
 
 namespace leapme::data {
 namespace {

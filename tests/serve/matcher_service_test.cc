@@ -91,7 +91,8 @@ embedding::CachingEmbeddingModel* MatcherServiceTest::cached_model_ = nullptr;
 core::LeapmeMatcher* MatcherServiceTest::matcher_ = nullptr;
 
 TEST_F(MatcherServiceTest, ScoresAreBitIdenticalToOffline) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 40));
   const std::vector<double> offline = OfflineScores(pairs);
@@ -112,7 +113,8 @@ TEST_F(MatcherServiceTest, OneRequestFormsOneBatch) {
   ServiceOptions options;
   options.max_batch = 64;
   options.batch_window_us = 1000;
-  MatcherService service(matcher_, cached_model_, options);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), options);
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 10));
   std::vector<PropertyPairSpec> specs;
@@ -136,7 +138,8 @@ TEST_F(MatcherServiceTest, MaxBatchSplitsLargeRequests) {
   ServiceOptions options;
   options.max_batch = 4;
   options.batch_window_us = 0;
-  MatcherService service(matcher_, cached_model_, options);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), options);
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 10));
   const std::vector<double> offline = OfflineScores(pairs);
@@ -154,7 +157,8 @@ TEST_F(MatcherServiceTest, MaxBatchSplitsLargeRequests) {
 }
 
 TEST_F(MatcherServiceTest, PropertyCacheHitsOnRepeatedProperties) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 10));
   std::vector<PropertyPairSpec> specs;
@@ -171,9 +175,11 @@ TEST_F(MatcherServiceTest, PropertyCacheHitsOnRepeatedProperties) {
 }
 
 TEST_F(MatcherServiceTest, TinyCacheStillScoresCorrectly) {
-  ServiceOptions options;
+  RegistryOptions options;
   options.property_cache_capacity = 1;  // constant eviction
-  MatcherService service(matcher_, cached_model_, options);
+  auto registry =
+      ModelRegistry::WrapExisting(matcher_, cached_model_, options).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 10));
   const std::vector<double> offline = OfflineScores(pairs);
@@ -189,7 +195,8 @@ TEST_F(MatcherServiceTest, TinyCacheStillScoresCorrectly) {
 }
 
 TEST_F(MatcherServiceTest, EmbeddingCacheGetsHits) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 20));
   std::vector<PropertyPairSpec> specs;
@@ -203,7 +210,8 @@ TEST_F(MatcherServiceTest, EmbeddingCacheGetsHits) {
 }
 
 TEST_F(MatcherServiceTest, ConcurrentCallersGetBitIdenticalScores) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 24));
   const std::vector<double> offline = OfflineScores(pairs);
@@ -238,7 +246,8 @@ TEST_F(MatcherServiceTest, ConcurrentCallersGetBitIdenticalScores) {
 }
 
 TEST_F(MatcherServiceTest, TopKOrdersByScoreThenIndex) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   const data::PropertyId query_id = 0;
   std::vector<data::PropertyId> candidate_ids;
   for (data::PropertyId id = 1;
@@ -285,7 +294,8 @@ TEST_F(MatcherServiceTest, TopKOrdersByScoreThenIndex) {
 }
 
 TEST_F(MatcherServiceTest, RejectsEmptyRequests) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   EXPECT_TRUE(service.Score({}).status().IsInvalidArgument());
   EXPECT_TRUE(service.TopK(PropertySpec{"q", {}}, {}, 3)
                   .status()
@@ -297,7 +307,8 @@ TEST_F(MatcherServiceTest, RejectsEmptyRequests) {
 }
 
 TEST_F(MatcherServiceTest, HandleLineDispatchesAndNeverThrows) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   // ping
   auto ping = JsonValue::Parse(service.HandleLine(R"({"op":"ping","id":1})"));
   ASSERT_TRUE(ping.ok());
@@ -346,16 +357,18 @@ TEST_F(MatcherServiceTest, HandleLineDispatchesAndNeverThrows) {
 
 TEST_F(MatcherServiceTest, CreateValidatesMatcherAndCache) {
   // Happy path: the fitted matcher and its own cache are accepted.
-  auto service = MatcherService::Create(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  auto service = MatcherService::Create(registry->get());
   ASSERT_TRUE(service.ok()) << service.status();
   ASSERT_NE(*service, nullptr);
 
-  EXPECT_TRUE(MatcherService::Create(nullptr, cached_model_)
+  EXPECT_TRUE(ModelRegistry::WrapExisting(nullptr, cached_model_)
                   .status()
                   .IsInvalidArgument());
 
   core::LeapmeMatcher unfitted(base_model_);
-  EXPECT_TRUE(MatcherService::Create(&unfitted, cached_model_)
+  EXPECT_TRUE(ModelRegistry::WrapExisting(&unfitted, cached_model_)
                   .status()
                   .IsFailedPrecondition());
 
@@ -367,7 +380,7 @@ TEST_F(MatcherServiceTest, CreateValidatesMatcherAndCache) {
                          .oov_policy = embedding::OovPolicy::kHashedVector})
                         .value();
   embedding::CachingEmbeddingModel wide_cache(&wide_model, 64);
-  auto mismatched = MatcherService::Create(matcher_, &wide_cache);
+  auto mismatched = ModelRegistry::WrapExisting(matcher_, &wide_cache);
   ASSERT_FALSE(mismatched.ok());
   EXPECT_TRUE(mismatched.status().IsFailedPrecondition());
   EXPECT_NE(mismatched.status().message().find("32"), std::string::npos)
@@ -375,7 +388,8 @@ TEST_F(MatcherServiceTest, CreateValidatesMatcherAndCache) {
 }
 
 TEST_F(MatcherServiceTest, StatsReportPerStageFeatureTimings) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
   pairs.resize(std::min<size_t>(pairs.size(), 8));
   std::vector<PropertyPairSpec> specs;
@@ -405,6 +419,26 @@ TEST_F(MatcherServiceTest, StatsReportPerStageFeatureTimings) {
     EXPECT_NE(response.find(name), std::string::npos)
         << "stats response missing " << name << ": " << response;
   }
+}
+
+TEST_F(MatcherServiceTest, LatencyStatsCountEveryRequest) {
+  ServiceOptions options;
+  options.batch_window_us = 0;
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), options);
+  const data::PropertyPair pair = dataset_->AllCrossSourcePairs()[0];
+  const std::vector<PropertyPairSpec> specs = {
+      {SpecOf(*dataset_, pair.a), SpecOf(*dataset_, pair.b)}};
+  // More calls than any fixed sample window would hold: the quantiles
+  // must weigh every request since start, not only the most recent ones.
+  constexpr uint64_t kCalls = 5000;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(service.Score(specs).ok());
+  }
+  const ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.latency_samples, kCalls);
+  EXPECT_GT(stats.latency_p50_us, 0.0);
+  EXPECT_LE(stats.latency_p50_us, stats.latency_p99_us);
 }
 
 }  // namespace

@@ -268,7 +268,9 @@ TEST_F(ModelRegistryTest, WrappedRegistryRefusesReload) {
   auto resources = Loader()(*path_a_);
   ASSERT_TRUE(resources.ok());
   auto registry = ModelRegistry::WrapExisting(
-      resources->matcher.get(), resources->embedding_cache.get());
+                      resources->matcher.get(),
+                      resources->embedding_cache.get())
+                      .value();
   auto outcome = registry->Reload();
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsFailedPrecondition());

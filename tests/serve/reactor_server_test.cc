@@ -1,7 +1,8 @@
 // Reactor-backend tests: line framing across arbitrary read() boundaries,
 // pipelined response ordering, idle keep-alive surviving the request
 // deadline, slow-reader writable backpressure (with the
-// writable_backlog_bytes gauge), reactor stats fields, and a
+// writable_backlog_bytes gauge), reactor stats fields, replies sent
+// without waiting for the client's ACK (TCP_NODELAY), and a
 // 10k-idle-connection smoke — parameterized over 1 and 4 event-loop
 // threads so both the single-loop and the cross-loop paths are covered.
 
@@ -139,7 +140,6 @@ class ReactorServerTest : public ::testing::TestWithParam<size_t> {
 
   static ServerOptions ReactorOptions() {
     ServerOptions options;
-    options.io_backend = IoBackend::kEpoll;
     options.event_loop_threads = GetParam();
     return options;
   }
@@ -156,7 +156,8 @@ embedding::CachingEmbeddingModel* ReactorServerTest::cached_model_ = nullptr;
 core::LeapmeMatcher* ReactorServerTest::matcher_ = nullptr;
 
 TEST_P(ReactorServerTest, FramesLinesAcrossArbitraryReadBoundaries) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service, ReactorOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -197,7 +198,8 @@ TEST_P(ReactorServerTest, FramesLinesAcrossArbitraryReadBoundaries) {
 }
 
 TEST_P(ReactorServerTest, PipelinedRequestsAnswerInOrder) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service, ReactorOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -218,7 +220,8 @@ TEST_P(ReactorServerTest, PipelinedRequestsAnswerInOrder) {
 }
 
 TEST_P(ReactorServerTest, IdleKeepAliveOutlivesRequestDeadline) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options = ReactorOptions();
   options.deadline_ms = 150;
   TcpServer server(&service, options);
@@ -244,7 +247,8 @@ TEST_P(ReactorServerTest, IdleKeepAliveOutlivesRequestDeadline) {
 }
 
 TEST_P(ReactorServerTest, SlowReaderBacklogsThenDrains) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options = ReactorOptions();
   // Tiny buffers on both sides so a non-reading client jams the socket
   // after a few KB and the rest backs up in the per-connection output
@@ -304,7 +308,8 @@ TEST_P(ReactorServerTest, SlowReaderBacklogsThenDrains) {
 }
 
 TEST_P(ReactorServerTest, StatsReportReactorIdentityAndGauges) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service, ReactorOptions());
   ASSERT_TRUE(server.Start().ok());
 
@@ -325,23 +330,41 @@ TEST_P(ReactorServerTest, StatsReportReactorIdentityAndGauges) {
   server.Stop();
 }
 
-TEST_P(ReactorServerTest, ThreadedBackendIsRetiredWithMigrationHint) {
-  // The thread-per-connection backend was removed one release after the
-  // reactor became the default. The explicit flag spelling must refuse
-  // with a message that names the migration path, while an environment
-  // still exporting the retired value degrades to the reactor.
-  const StatusOr<IoBackend> retired = ParseIoBackend("threaded");
-  ASSERT_FALSE(retired.ok());
-  EXPECT_EQ(retired.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(retired.status().message().find("retired"), std::string::npos)
-      << retired.status().message();
-  EXPECT_NE(retired.status().message().find("--event-loop-threads"),
-            std::string::npos)
-      << retired.status().message();
+TEST_P(ReactorServerTest, PipelinedReplyDoesNotWaitForDelayedAck) {
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
+  TcpServer server(&service, ReactorOptions());
+  ASSERT_TRUE(server.Start().ok());
 
-  const StatusOr<IoBackend> live = ParseIoBackend("epoll");
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(live.value(), IoBackend::kEpoll);
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  // Request/reply round trips end the kernel's quick-ACK start-up phase:
+  // from here on the client delays the ACK of a reply, hoping to carry
+  // it on its next request.
+  std::string response;
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(client.SendLine("{\"op\":\"ping\",\"id\":" +
+                                std::to_string(i) + "}"));
+    ASSERT_TRUE(client.ReadLine(&response));
+  }
+
+  // Two pipelined pings, then silence. The second reply is written while
+  // the first is still unacknowledged; with Nagle on, the server would
+  // hold it until the client's delayed-ACK timer fires (>= 40 ms on
+  // Linux). TCP_NODELAY sends it at once.
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.SendRaw(
+      "{\"op\":\"ping\",\"id\":100}\n{\"op\":\"ping\",\"id\":101}\n"));
+  ASSERT_TRUE(client.ReadLine(&response));
+  EXPECT_EQ(IdOf(response), 100);
+  ASSERT_TRUE(client.ReadLine(&response));
+  EXPECT_EQ(IdOf(response), 101);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 20.0)
+      << "the second pipelined reply waited for the client's ACK";
+  server.Stop();
 }
 
 TEST_P(ReactorServerTest, TenThousandIdleConnectionsStayResponsive) {
@@ -359,7 +382,9 @@ TEST_P(ReactorServerTest, TenThousandIdleConnectionsStayResponsive) {
                  << " for the server side of the 10k idle fleet";
   }
 
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+
+  MatcherService service(registry.get());
   ServerOptions options = ReactorOptions();
   options.backlog = 4096;  // waves arrive faster than single accepts
   TcpServer server(&service, options);

@@ -167,7 +167,8 @@ embedding::CachingEmbeddingModel* TcpServerTest::cached_model_ = nullptr;
 core::LeapmeMatcher* TcpServerTest::matcher_ = nullptr;
 
 TEST_F(TcpServerTest, StartsOnEphemeralPortAndAnswersPing) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);  // port 0 = ephemeral
   ASSERT_TRUE(server.Start().ok());
   EXPECT_GT(server.port(), 0);
@@ -182,7 +183,8 @@ TEST_F(TcpServerTest, StartsOnEphemeralPortAndAnswersPing) {
 }
 
 TEST_F(TcpServerTest, StartFailsOnBusyPort) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer first(&service);
   ASSERT_TRUE(first.Start().ok());
   ServerOptions options;
@@ -193,7 +195,8 @@ TEST_F(TcpServerTest, StartFailsOnBusyPort) {
 }
 
 TEST_F(TcpServerTest, WireScoresBitIdenticalUnderConcurrentClients) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -243,7 +246,8 @@ TEST_F(TcpServerTest, WireScoresBitIdenticalUnderConcurrentClients) {
 TEST_F(TcpServerTest, StatsShowBatchingAndCacheHits) {
   ServiceOptions service_options;
   service_options.batch_window_us = 2000;  // encourage coalescing
-  MatcherService service(matcher_, cached_model_, service_options);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), service_options);
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -286,7 +290,8 @@ TEST_F(TcpServerTest, StatsShowBatchingAndCacheHits) {
 }
 
 TEST_F(TcpServerTest, MalformedLinesGetErrorsConnectionSurvives) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -311,7 +316,8 @@ TEST_F(TcpServerTest, MalformedLinesGetErrorsConnectionSurvives) {
 }
 
 TEST_F(TcpServerTest, BlankAndCrlfLinesAreTolerated) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
   TestClient client(server.port());
@@ -328,7 +334,8 @@ TEST_F(TcpServerTest, BlankAndCrlfLinesAreTolerated) {
 }
 
 TEST_F(TcpServerTest, OversizedLineGetsErrorThenClose) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
   options.max_line_bytes = 1024;
   TcpServer server(&service, options);
@@ -349,7 +356,8 @@ TEST_F(TcpServerTest, OversizedLineGetsErrorThenClose) {
 }
 
 TEST_F(TcpServerTest, HalfClosedConnectionStillGetsResponses) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -369,7 +377,8 @@ TEST_F(TcpServerTest, HalfClosedConnectionStillGetsResponses) {
 }
 
 TEST_F(TcpServerTest, AbruptDisconnectsDoNotBreakTheServer) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
   for (int i = 0; i < 5; ++i) {
@@ -391,7 +400,8 @@ TEST_F(TcpServerTest, AbruptDisconnectsDoNotBreakTheServer) {
 TEST_F(TcpServerTest, RequestLargerThanQueueBoundIsShedWithRetryHint) {
   ServiceOptions service_options;
   service_options.max_queue_pairs = 4;
-  MatcherService service(matcher_, cached_model_, service_options);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), service_options);
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -427,7 +437,8 @@ TEST_F(TcpServerTest, SaturationPastQueueBoundNeverHangsOrDropsSilently) {
   ServiceOptions service_options;
   service_options.max_queue_pairs = 16;
   service_options.batch_window_us = 20000;  // keep the queue occupied
-  MatcherService service(matcher_, cached_model_, service_options);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get(), service_options);
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
 
@@ -483,7 +494,8 @@ TEST_F(TcpServerTest, SaturationPastQueueBoundNeverHangsOrDropsSilently) {
 }
 
 TEST_F(TcpServerTest, ConnectionCapRejectsInlineThenRecovers) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
   options.max_connections = 1;
   TcpServer server(&service, options);
@@ -530,7 +542,8 @@ TEST_F(TcpServerTest, ConnectionCapRejectsInlineThenRecovers) {
 }
 
 TEST_F(TcpServerTest, StalledRequestLineHitsDeadlineWithTypedReply) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   ServerOptions options;
   options.deadline_ms = 100;
   TcpServer server(&service, options);
@@ -563,7 +576,8 @@ TEST_F(TcpServerTest, StalledRequestLineHitsDeadlineWithTypedReply) {
 }
 
 TEST_F(TcpServerTest, StopWithOpenConnectionsDrainsGracefully) {
-  MatcherService service(matcher_, cached_model_);
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
   TcpServer server(&service);
   ASSERT_TRUE(server.Start().ok());
   TestClient idle(server.port());

@@ -162,7 +162,9 @@ embedding::CachingEmbeddingModel* SoakStallTest::cached_model_ = nullptr;
 core::LeapmeMatcher* SoakStallTest::matcher_ = nullptr;
 
 TEST_F(SoakStallTest, InjectedReadDelayInflatesTheIntendedP99) {
-  serve::MatcherService service(matcher_, cached_model_);
+  auto registry =
+      serve::ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  serve::MatcherService service(registry.get());
   serve::ServerOptions server_options;
   server_options.port = 0;
   server_options.deadline_ms = 10000;  // never the thing that fires here

@@ -65,6 +65,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/latency_recorder.h"
 #include "data/domain.h"
 #include "data/generator.h"
 #include "data/tsv_io.h"
@@ -75,7 +76,6 @@
 #include "serve/json.h"
 #include "tools/line_client.h"
 #include "workload/arrival.h"
-#include "workload/latency_recorder.h"
 #include "workload/open_loop.h"
 
 namespace {
@@ -153,7 +153,7 @@ struct SharedState {
   const data::Dataset* dataset = nullptr;
   std::vector<data::PropertyPair> pairs;
   std::vector<double> expected;  // empty without --model
-  workload::LatencyRecorder latency;
+  LatencyRecorder latency;
   std::atomic<uint64_t> requests_ok{0};
   std::atomic<uint64_t> errors{0};
   std::atomic<uint64_t> mismatches{0};
@@ -346,7 +346,7 @@ void RunClient(SharedState& state, size_t client_index) {
 }
 
 void PrintSummaryLine(const char* label,
-                      const workload::LatencyRecorder::Summary& summary) {
+                      const LatencyRecorder::Summary& summary) {
   std::printf("%s p50=%.0fus p95=%.0fus p99=%.0fus p999=%.0fus "
               "max=%.0fus\n",
               label, summary.p50_us, summary.p95_us, summary.p99_us,
@@ -652,7 +652,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mismatches),
               static_cast<unsigned long long>(state.retries.load()),
               static_cast<unsigned long long>(state.degraded.load()));
-  const workload::LatencyRecorder::Summary summary =
+  const LatencyRecorder::Summary summary =
       state.latency.Snapshot();
   std::printf("throughput %.0f pairs/s, latency p50=%.0fus p95=%.0fus "
               "p99=%.0fus p999=%.0fus\n",
