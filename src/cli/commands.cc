@@ -67,7 +67,7 @@ constexpr const char* kUsage =
     "  serve      serve a saved model over TCP (line-delimited JSON)\n"
     "             --model FILE --port N [--host 127.0.0.1]\n"
     "             (--port 0 binds an ephemeral port, printed on stderr)\n"
-    "             [--max-batch 256] [--batch-window-us 200]\n"
+    "             [--max-batch 256] (most pairs per scoring call)\n"
     "             [--emb-cache 65536] [--prop-cache 4096] [--threads N]\n"
     "             [--cache-shards 0] (cache partitions, 0 = \n"
     "             $LEAPME_CACHE_SHARDS or 16; power of two)\n"
@@ -640,7 +640,7 @@ Status RunCluster(const Flags& flags) {
 
 Status RunServe(const Flags& flags) {
   LEAPME_RETURN_IF_ERROR(flags.CheckAllowed(
-      {"model", "port", "host", "max-batch", "batch-window-us", "emb-cache",
+      {"model", "port", "host", "max-batch", "emb-cache",
        "prop-cache", "threads", "embeddings", "domain", "emb-dim", "seed",
        "deadline-ms", "max-connections", "max-queue", "index-data",
        "blocking", "event-loop-threads", "cache-shards",
@@ -663,9 +663,6 @@ Status RunServe(const Flags& flags) {
                           flags.GetIntInRange("port", 7207, 0, 65535));
   LEAPME_ASSIGN_OR_RETURN(const int64_t max_batch,
                           flags.GetIntInRange("max-batch", 256, 1, 65536));
-  LEAPME_ASSIGN_OR_RETURN(
-      const int64_t batch_window_us,
-      flags.GetIntInRange("batch-window-us", 200, 0, 1000000));
   LEAPME_ASSIGN_OR_RETURN(const int64_t emb_cache,
                           flags.GetIntInRange("emb-cache", 65536, 1, 1 << 28));
   LEAPME_ASSIGN_OR_RETURN(const int64_t prop_cache,
@@ -758,7 +755,6 @@ Status RunServe(const Flags& flags) {
 
   serve::ServiceOptions service_options;
   service_options.max_batch = static_cast<size_t>(max_batch);
-  service_options.batch_window_us = static_cast<size_t>(batch_window_us);
   service_options.max_queue_pairs = static_cast<size_t>(max_queue);
   LEAPME_ASSIGN_OR_RETURN(
       std::unique_ptr<serve::MatcherService> service,
@@ -781,12 +777,10 @@ Status RunServe(const Flags& flags) {
   LEAPME_RETURN_IF_ERROR(server.Start());
   std::fprintf(stderr,
                "leapme serve listening on %s:%d (event loops %zu, "
-               "max-batch %lld, window %lld us); Ctrl-C to stop, SIGHUP "
-               "to reload\n",
+               "max-batch %lld); Ctrl-C to stop, SIGHUP to reload\n",
                server_options.host.c_str(), server.port(),
                server_options.event_loop_threads,
-               static_cast<long long>(max_batch),
-               static_cast<long long>(batch_window_us));
+               static_cast<long long>(max_batch));
 
   // Reload triggers outside the protocol: SIGHUP and --model-watch mtime
   // polling, both serviced from the parked ServeUntilShutdown thread.

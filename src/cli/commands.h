@@ -36,7 +36,7 @@ Status RunCluster(const Flags& flags);
 /// bounded LRU cache, and answers line-delimited JSON score / topk /
 /// stats requests on --port N, micro-batching concurrent requests into
 /// single inference calls (see src/serve/). Flags: --model FILE --port N
-/// [--host A] [--max-batch N] [--batch-window-us N] [--emb-cache N]
+/// [--host A] [--max-batch N] [--emb-cache N]
 /// [--prop-cache N] [--threads N] plus the evaluate embedding flags
 /// (--embeddings | --domain, --emb-dim, --seed).
 Status RunServe(const Flags& flags);

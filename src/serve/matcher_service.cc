@@ -79,13 +79,6 @@ MatcherService::~MatcherService() {
   }
 }
 
-MatcherService::FeaturePtr MatcherService::GetPropertyFeatures(
-    const ModelGeneration& generation, const PropertySpec& spec,
-    bool* degraded) {
-  return ResolvePropertyFeatures(generation, PropertyCacheKey(spec), spec,
-                                 degraded);
-}
-
 MatcherService::FeaturePtr MatcherService::ResolvePropertyFeatures(
     const ModelGeneration& generation, std::string_view key,
     const PropertySpec& spec, bool* degraded) {
@@ -142,23 +135,37 @@ void MatcherService::GatherPropertyFeatures(
   }
 }
 
+template <typename T>
+StatusOr<T> MatcherService::Await(Deadline deadline, bool* degraded,
+                                  const std::function<void(Done<T>)>& start) {
+  auto promise = std::make_shared<std::promise<Outcome<T>>>();
+  std::future<Outcome<T>> future = promise->get_future();
+  start([promise](Outcome<T> outcome) {
+    promise->set_value(std::move(outcome));
+  });
+  if (!deadline.infinite() &&
+      future.wait_until(deadline.time_point()) != std::future_status::ready) {
+    // Give up; the completion still runs later, into the abandoned
+    // promise, and counts the miss.
+    return Status::DeadlineExceeded(
+        "request deadline expired before the response was ready");
+  }
+  Outcome<T> outcome = future.get();
+  if (outcome.degraded && degraded != nullptr) {
+    *degraded = true;
+  }
+  return std::move(outcome.value);
+}
+
 void MatcherService::BatcherLoop() {
   std::unique_lock<std::mutex> lock(queue_mu_);
   while (true) {
     queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) {
-      if (stop_) return;
-      continue;
+      return;  // stopping, and every admitted pair is done
     }
-    // First pair seen: linger up to the batch window so concurrent
-    // requests coalesce, unless the batch is already full or we are
-    // draining for shutdown.
-    if (queue_.size() < options_.max_batch && options_.batch_window_us > 0 &&
-        !stop_) {
-      queue_cv_.wait_for(
-          lock, std::chrono::microseconds(options_.batch_window_us),
-          [this] { return queue_.size() >= options_.max_batch || stop_; });
-    }
+    // Score what is queued now; pairs that arrive while this batch
+    // scores form the next one.
     const size_t take =
         std::min(queue_.size(), std::max<size_t>(1, options_.max_batch));
     std::vector<PendingPair> batch;
@@ -169,8 +176,8 @@ void MatcherService::BatcherLoop() {
       queue_.pop_front();
       // Load shedding: a pair whose deadline passed while it waited has
       // no one left to use its score — fail it instead of spending
-      // inference on it (its waiter is told DeadlineExceeded).
-      if (pair.deadline.expired()) {
+      // inference on it (its request ends DeadlineExceeded).
+      if (pair.job->deadline.expired()) {
         expired.push_back(std::move(pair));
       } else {
         batch.push_back(std::move(pair));
@@ -178,14 +185,9 @@ void MatcherService::BatcherLoop() {
     }
     lock.unlock();
     for (const PendingPair& pair : expired) {
-      std::lock_guard<std::mutex> job_lock(pair.job->mu);
-      if (pair.job->status.ok()) {
-        pair.job->status = Status::DeadlineExceeded(
-            "request deadline expired while queued for scoring");
-      }
-      if (--pair.job->remaining == 0) {
-        pair.job->cv.notify_all();
-      }
+      CompletePair(pair,
+                   Status::DeadlineExceeded(
+                       "request deadline expired while queued for scoring"));
     }
     if (!batch.empty()) {
       ScoreBatch(batch);
@@ -242,81 +244,109 @@ void MatcherService::ScoreBatchGroup(std::vector<PendingPair>& batch,
   }
 
   for (size_t i = 0; i < count; ++i) {
-    const std::shared_ptr<ScoreJob>& job = batch[begin + i].job;
-    std::lock_guard<std::mutex> lock(job->mu);
+    const PendingPair& pair = batch[begin + i];
     if (scores.ok()) {
-      job->scores[batch[begin + i].index] = scores.value()[i];
-    } else if (job->status.ok()) {
-      job->status = scores.status();
+      pair.job->scores[pair.index] = scores.value()[i];
     }
-    if (--job->remaining == 0) {
-      job->cv.notify_all();
-    }
+    CompletePair(pair, scores.status());
   }
 }
 
-StatusOr<std::vector<double>> MatcherService::ScoreFeaturePairsBatched(
-    std::vector<PendingPair> pending, std::shared_ptr<ScoreJob> job,
-    Deadline deadline) {
+void MatcherService::CompletePair(const PendingPair& pair,
+                                  const Status& status) {
+  ScoreJob& job = *pair.job;
+  if (!status.ok() && job.status.ok()) {
+    job.status = status;
+  }
+  if (--job.remaining == 0) {
+    FinishJob(job);
+  }
+}
+
+void MatcherService::FinishJob(ScoreJob& job) {
+  if (job.status.ok() && job.deadline.expired()) {
+    // Scored too late: the waiter has given up (a transport answers
+    // DeadlineExceeded itself), so the request is counted here, once.
+    job.status = Status::DeadlineExceeded(
+        "request deadline expired before scoring finished");
+  }
+  if (job.status.IsDeadlineExceeded()) {
+    deadline_exceeded_.Increment();
+  }
+  RecordLatency(job.start);
+  job.done({job.status.ok() ? StatusOr<std::vector<double>>(
+                                  std::move(job.scores))
+                            : job.status,
+            job.degraded});
+}
+
+void MatcherService::Admit(std::vector<PendingPair> pending,
+                           std::shared_ptr<ScoreJob> job) {
+  bool queued = false;
   if (faults::InjectError("alloc")) {
     rejected_overload_.Increment();
-    return Status::ResourceExhausted(
+    job->status = Status::ResourceExhausted(
         "injected allocation failure admitting request");
-  }
-  {
+  } else if (job->deadline.expired()) {
+    job->status =
+        Status::DeadlineExceeded("request deadline expired before admission");
+  } else {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stop_) {
-      return Status::FailedPrecondition("service is shutting down");
-    }
-    if (options_.max_queue_pairs > 0 &&
-        queue_.size() + pending.size() > options_.max_queue_pairs) {
+      job->status = Status::FailedPrecondition("service is shutting down");
+    } else if (options_.max_queue_pairs > 0 &&
+               queue_.size() + pending.size() > options_.max_queue_pairs) {
       rejected_overload_.Increment();
-      return Status::ResourceExhausted(StrFormat(
+      job->status = Status::ResourceExhausted(StrFormat(
           "admission queue full: %zu pairs queued, %zu more would exceed "
           "the %zu-pair bound",
           queue_.size(), pending.size(), options_.max_queue_pairs));
-    }
-    const auto now = std::chrono::steady_clock::now();
-    for (PendingPair& pair : pending) {
-      pair.enqueued = now;
-      queue_.push_back(std::move(pair));
+    } else {
+      const auto now = std::chrono::steady_clock::now();
+      for (PendingPair& pair : pending) {
+        pair.enqueued = now;
+        queue_.push_back(std::move(pair));
+      }
+      queued = true;  // from here on only the batcher touches the job
     }
   }
-  queue_cv_.notify_all();
-
-  std::unique_lock<std::mutex> lock(job->mu);
-  if (deadline.infinite()) {
-    job->cv.wait(lock, [&job] { return job->remaining == 0; });
-  } else if (!job->cv.wait_until(lock, deadline.time_point(),
-                                 [&job] { return job->remaining == 0; })) {
-    // Give up waiting; the batcher still owns shared references to the
-    // job and completes the orphaned slots harmlessly (or sheds them via
-    // the queue-side deadline check).
-    deadline_exceeded_.Increment();
-    return Status::DeadlineExceeded(
-        "request deadline expired before scoring finished");
+  if (!queued) {
+    FinishJob(*job);
+    return;
   }
-  if (!job->status.ok()) {
-    if (job->status.IsDeadlineExceeded()) {
-      deadline_exceeded_.Increment();
-    }
-    return job->status;
-  }
-  return std::move(job->scores);
+  queue_cv_.notify_one();
 }
 
-StatusOr<std::vector<double>> MatcherService::Score(
-    const std::vector<PropertyPairSpec>& pairs, Deadline deadline,
-    bool* degraded) {
+void MatcherService::AdmitPairs(
+    const GenerationPtr& generation,
+    const std::vector<const PropertySpec*>& specs,
+    const std::vector<std::pair<size_t, size_t>>& rows,
+    std::shared_ptr<ScoreJob> job) {
+  // One batched cache wave over every property of the request: one
+  // prefetch pass instead of a dependent probe per property.
+  std::vector<FeaturePtr> features(specs.size());
+  std::vector<uint8_t> degraded(specs.size(), 0);
+  GatherPropertyFeatures(*generation, specs, features.data(),
+                         degraded.data());
+  std::vector<PendingPair> pending(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto [a, b] = rows[i];
+    pending[i] = {features[a], features[b], generation, job, i,
+                  degraded[a] != 0 || degraded[b] != 0, {}};
+    job->degraded = job->degraded || pending[i].degraded;
+  }
+  Admit(std::move(pending), std::move(job));
+}
+
+void MatcherService::StartScore(const std::vector<PropertyPairSpec>& pairs,
+                                Deadline deadline,
+                                Done<std::vector<double>> done) {
   if (pairs.empty()) {
-    return Status::InvalidArgument("no pairs to score");
+    done({Status::InvalidArgument("no pairs to score")});
+    return;
   }
-  if (deadline.expired()) {
-    deadline_exceeded_.Increment();
-    return Status::DeadlineExceeded(
-        "request deadline expired before feature computation");
-  }
-  const auto start = std::chrono::steady_clock::now();
+  auto job = std::make_shared<ScoreJob>(pairs.size(), deadline);
+  job->done = std::move(done);
   // One generation for the whole request: features, queueing, and
   // scoring all happen on the model this shared_ptr pins, whatever
   // reloads land meanwhile.
@@ -324,130 +354,77 @@ StatusOr<std::vector<double>> MatcherService::Score(
   // Feed the reload canary with real traffic (the first pair stands in
   // for the request).
   registry_->CapturePair(pairs.front());
-  auto job = std::make_shared<ScoreJob>(pairs.size());
-  // Gather both sides of every pair in one batched cache wave, then
-  // enqueue: the request pays one prefetch pass instead of 2N dependent
-  // probe round-trips.
-  std::vector<const PropertySpec*> specs(2 * pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    specs[2 * i] = &pairs[i].a;
-    specs[2 * i + 1] = &pairs[i].b;
+  std::vector<const PropertySpec*> specs;
+  std::vector<std::pair<size_t, size_t>> rows;
+  for (const PropertyPairSpec& pair : pairs) {
+    rows.emplace_back(specs.size(), specs.size() + 1);
+    specs.push_back(&pair.a);
+    specs.push_back(&pair.b);
   }
-  std::vector<FeaturePtr> features(specs.size());
-  std::vector<uint8_t> spec_degraded(specs.size(), 0);
-  GatherPropertyFeatures(*generation, specs, features.data(),
-                         spec_degraded.data());
-  std::vector<PendingPair> pending;
-  pending.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const bool pair_degraded =
-        spec_degraded[2 * i] != 0 || spec_degraded[2 * i + 1] != 0;
-    PendingPair pair;
-    pair.a = std::move(features[2 * i]);
-    pair.b = std::move(features[2 * i + 1]);
-    pair.generation = generation;
-    pair.job = job;
-    pair.index = i;
-    pair.degraded = pair_degraded;
-    pair.deadline = deadline;
-    if (pair_degraded && degraded != nullptr) {
-      *degraded = true;
-    }
-    pending.push_back(std::move(pair));
-  }
-  auto scores = ScoreFeaturePairsBatched(std::move(pending), job, deadline);
-  RecordLatency(start);
-  return scores;
+  AdmitPairs(generation, specs, rows, std::move(job));
 }
 
-StatusOr<std::vector<MatchResult>> MatcherService::TopK(
-    const PropertySpec& query, const std::vector<PropertySpec>& candidates,
-    size_t k, Deadline deadline, bool* degraded) {
+void MatcherService::StartTopK(const PropertySpec& query,
+                               const std::vector<PropertySpec>& candidates,
+                               size_t k, Deadline deadline,
+                               Done<std::vector<MatchResult>> done) {
   if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates");
+    done({Status::InvalidArgument("no candidates")});
+    return;
   }
   if (k == 0) {
-    return Status::InvalidArgument("k must be positive");
+    done({Status::InvalidArgument("k must be positive")});
+    return;
   }
-  if (deadline.expired()) {
-    deadline_exceeded_.Increment();
-    return Status::DeadlineExceeded(
-        "request deadline expired before feature computation");
-  }
-  const auto start = std::chrono::steady_clock::now();
+  auto job = std::make_shared<ScoreJob>(candidates.size(), deadline);
+  job->done = [k, done = std::move(done)](
+                  Outcome<std::vector<double>> scored) {
+    if (!scored.value.ok()) {
+      done({scored.value.status(), scored.degraded});
+      return;
+    }
+    const std::vector<double>& scores = *scored.value;
+    std::vector<MatchResult> matches(scores.size());
+    for (size_t i = 0; i < scores.size(); ++i) {
+      matches[i] = MatchResult{i, scores[i]};
+    }
+    const size_t keep = std::min(k, matches.size());
+    // Deterministic order: score descending, candidate index ascending.
+    std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
+                      [](const MatchResult& a, const MatchResult& b) {
+                        if (a.score != b.score) return a.score > b.score;
+                        return a.index < b.index;
+                      });
+    matches.resize(keep);
+    done({std::move(matches), scored.degraded});
+  };
   const GenerationPtr generation = registry_->Acquire();
   registry_->CapturePair(PropertyPairSpec{query, candidates.front()});
-  auto job = std::make_shared<ScoreJob>(candidates.size());
-  // One batched cache wave over the query + every candidate.
-  std::vector<const PropertySpec*> specs(1 + candidates.size());
-  specs[0] = &query;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    specs[1 + i] = &candidates[i];
+  std::vector<const PropertySpec*> specs = {&query};
+  std::vector<std::pair<size_t, size_t>> rows;
+  for (const PropertySpec& candidate : candidates) {
+    rows.emplace_back(0, specs.size());
+    specs.push_back(&candidate);
   }
-  std::vector<FeaturePtr> features(specs.size());
-  std::vector<uint8_t> spec_degraded(specs.size(), 0);
-  GatherPropertyFeatures(*generation, specs, features.data(),
-                         spec_degraded.data());
-  const bool query_degraded = spec_degraded[0] != 0;
-  FeaturePtr query_features = std::move(features[0]);
-  std::vector<PendingPair> pending;
-  pending.reserve(candidates.size());
-  bool any_degraded = query_degraded;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const bool candidate_degraded = spec_degraded[1 + i] != 0;
-    PendingPair pair;
-    pair.a = query_features;
-    pair.b = std::move(features[1 + i]);
-    pair.generation = generation;
-    pair.job = job;
-    pair.index = i;
-    pair.degraded = query_degraded || candidate_degraded;
-    pair.deadline = deadline;
-    any_degraded = any_degraded || candidate_degraded;
-    pending.push_back(std::move(pair));
-  }
-  if (any_degraded && degraded != nullptr) {
-    *degraded = true;
-  }
-  auto scores = ScoreFeaturePairsBatched(std::move(pending), job, deadline);
-  if (!scores.ok()) {
-    return scores.status();
-  }
-
-  std::vector<MatchResult> matches(scores->size());
-  for (size_t i = 0; i < scores->size(); ++i) {
-    matches[i] = MatchResult{i, (*scores)[i]};
-  }
-  const size_t keep = std::min(k, matches.size());
-  // Deterministic order: score descending, candidate index ascending.
-  std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
-                    [](const MatchResult& a, const MatchResult& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.index < b.index;
-                    });
-  matches.resize(keep);
-  RecordLatency(start);
-  return matches;
+  AdmitPairs(generation, specs, rows, std::move(job));
 }
 
-StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
-    const PropertySpec& query, size_t k, Deadline deadline, bool* degraded) {
+void MatcherService::StartIndexMatch(const PropertySpec& query, size_t k,
+                                     Deadline deadline,
+                                     Done<IndexMatchOutcome> done) {
   const GenerationPtr generation = registry_->Acquire();
   if (generation->catalog() == nullptr) {
-    return Status::FailedPrecondition(
-        "no catalog index attached (start serve with --index-data)");
+    done({Status::FailedPrecondition(
+        "no catalog index attached (start serve with --index-data)")});
+    return;
   }
   if (k == 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (deadline.expired()) {
-    deadline_exceeded_.Increment();
-    return Status::DeadlineExceeded(
-        "request deadline expired before blocking");
+    done({Status::InvalidArgument("k must be positive")});
+    return;
   }
   const auto start = std::chrono::steady_clock::now();
-
   IndexMatchOutcome outcome;
+  bool degraded = false;
   StatusOr<std::vector<data::PropertyId>> blocked =
       generation->catalog_pipeline()->Query(query.name);
   std::vector<data::PropertyId> candidates;
@@ -457,15 +434,15 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
     // Candidate generation failed (e.g. an embedding fault inside an LSH
     // blocker). Degrade to a full-catalog scan: slower, but the request
     // is still served with real scores.
-    if (degraded != nullptr) {
-      *degraded = true;
-    }
+    degraded = true;
     candidates.resize(generation->catalog_features().size());
     for (size_t i = 0; i < candidates.size(); ++i) {
       candidates[i] = static_cast<data::PropertyId>(i);
     }
   } else {
-    return blocked.status();
+    RecordLatency(start);
+    done({blocked.status()});
+    return;
   }
   const uint64_t blocking_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -477,21 +454,17 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
   outcome.blocking_us = static_cast<double>(blocking_ns) / 1000.0;
   if (candidates.empty()) {
     RecordLatency(start);
-    return outcome;
-  }
-  if (deadline.expired()) {
-    deadline_exceeded_.Increment();
-    return Status::DeadlineExceeded(
-        "request deadline expired during blocking");
+    done({std::move(outcome), degraded});
+    return;
   }
 
-  auto job = std::make_shared<ScoreJob>(candidates.size());
-  bool query_degraded = false;
-  FeaturePtr query_features =
-      GetPropertyFeatures(*generation, query, &query_degraded);
-  if (query_degraded && degraded != nullptr) {
-    *degraded = true;
-  }
+  auto job = std::make_shared<ScoreJob>(candidates.size(), deadline);
+  job->start = start;
+  FeaturePtr query_features;
+  uint8_t query_degraded = 0;
+  GatherPropertyFeatures(*generation, {&query}, &query_features,
+                         &query_degraded);
+  job->degraded = degraded || query_degraded != 0;
   // Feed the canary with a realistic catalog pair: the query against its
   // first blocked candidate (reconstructed from the catalog dataset).
   {
@@ -505,59 +478,113 @@ StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
     }
     registry_->CapturePair(sample);
   }
-  std::vector<PendingPair> pending;
-  pending.reserve(candidates.size());
+  std::vector<PendingPair> pending(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    PendingPair pair;
-    pair.a = query_features;
-    pair.b = generation->catalog_features()[candidates[i]];
-    pair.generation = generation;
-    pair.job = job;
-    pair.index = i;
-    pair.degraded = query_degraded;
-    pair.deadline = deadline;
-    pending.push_back(std::move(pair));
+    pending[i] = {query_features,
+                  generation->catalog_features()[candidates[i]],
+                  generation,
+                  job,
+                  i,
+                  query_degraded != 0,
+                  {}};
   }
-  auto scores = ScoreFeaturePairsBatched(std::move(pending), job, deadline);
-  if (!scores.ok()) {
-    return scores.status();
-  }
-
-  std::vector<IndexMatchResult> matches(scores->size());
-  for (size_t i = 0; i < scores->size(); ++i) {
-    matches[i].property = candidates[i];
-    matches[i].score = (*scores)[i];
-  }
-  const size_t keep = std::min(k, matches.size());
-  // Deterministic order: score descending, property id ascending.
-  std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
-                    [](const IndexMatchResult& a, const IndexMatchResult& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.property < b.property;
-                    });
-  matches.resize(keep);
-  for (IndexMatchResult& match : matches) {
-    const auto id = static_cast<data::PropertyId>(match.property);
+  job->done = [k, generation, candidates = std::move(candidates),
+               outcome = std::move(outcome), done = std::move(done)](
+                  Outcome<std::vector<double>> scored) mutable {
+    if (!scored.value.ok()) {
+      done({scored.value.status(), scored.degraded});
+      return;
+    }
+    const std::vector<double>& scores = *scored.value;
+    std::vector<IndexMatchResult> matches(scores.size());
+    for (size_t i = 0; i < scores.size(); ++i) {
+      matches[i].property = candidates[i];
+      matches[i].score = scores[i];
+    }
+    const size_t keep = std::min(k, matches.size());
+    // Deterministic order: score descending, property id ascending.
+    std::partial_sort(
+        matches.begin(), matches.begin() + keep, matches.end(),
+        [](const IndexMatchResult& a, const IndexMatchResult& b) {
+          if (a.score != b.score) return a.score > b.score;
+          return a.property < b.property;
+        });
+    matches.resize(keep);
     const data::Dataset& catalog = *generation->catalog();
-    match.name = catalog.property(id).name;
-    match.source = catalog.source_name(catalog.property(id).source);
+    for (IndexMatchResult& match : matches) {
+      const auto id = static_cast<data::PropertyId>(match.property);
+      match.name = catalog.property(id).name;
+      match.source = catalog.source_name(catalog.property(id).source);
+    }
+    outcome.matches = std::move(matches);
+    done({std::move(outcome), scored.degraded});
+  };
+  Admit(std::move(pending), std::move(job));
+}
+
+void MatcherService::StartReload(
+    std::string path, std::function<void(StatusOr<ReloadOutcome>)> done) {
+  std::unique_lock<std::mutex> lock(reload_mu_);
+  if (reload_.valid() && reload_.wait_for(std::chrono::seconds(0)) !=
+                             std::future_status::ready) {
+    lock.unlock();
+    done(Status::Unavailable("another reload is already in progress"));
+    return;
   }
-  outcome.matches = std::move(matches);
-  RecordLatency(start);
-  return outcome;
+  // Never on the caller's thread: a reload (catalog re-attach included)
+  // takes far longer than any request.
+  reload_ = std::async(std::launch::async, [this, path = std::move(path),
+                                            done = std::move(done)] {
+    done(registry_->Reload(path));
+  });
+}
+
+StatusOr<std::vector<double>> MatcherService::Score(
+    const std::vector<PropertyPairSpec>& pairs, Deadline deadline,
+    bool* degraded) {
+  return Await<std::vector<double>>(deadline, degraded, [&](auto done) {
+    StartScore(pairs, deadline, std::move(done));
+  });
+}
+
+StatusOr<std::vector<MatchResult>> MatcherService::TopK(
+    const PropertySpec& query, const std::vector<PropertySpec>& candidates,
+    size_t k, Deadline deadline, bool* degraded) {
+  return Await<std::vector<MatchResult>>(deadline, degraded, [&](auto done) {
+    StartTopK(query, candidates, k, deadline, std::move(done));
+  });
+}
+
+StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
+    const PropertySpec& query, size_t k, Deadline deadline, bool* degraded) {
+  return Await<IndexMatchOutcome>(deadline, degraded, [&](auto done) {
+    StartIndexMatch(query, k, deadline, std::move(done));
+  });
 }
 
 std::string MatcherService::HandleLine(std::string_view line,
                                        Deadline deadline) {
+  StatusOr<std::string> response =
+      Await<std::string>(deadline, nullptr, [&](Done<std::string> done) {
+        Submit(line, deadline,
+               [done](std::string reply) { done({std::move(reply)}); });
+      });
+  return response.ok() ? std::move(response).value()
+                       : ErrorResponse(std::nullopt, response.status());
+}
+
+void MatcherService::Submit(std::string_view line, Deadline deadline,
+                            std::function<void(std::string)> done) {
   StatusOr<Request> request = ParseRequest(line);
   if (!request.ok()) {
     request_errors_.Increment();
-    return ErrorResponse(std::nullopt, request.status());
+    done(ErrorResponse(std::nullopt, request.status()));
+    return;
   }
+  const std::optional<int64_t> id = request->id;
   // Shed-queue and capacity errors carry a retry hint; everything else
   // is a plain typed error.
-  const auto error_response = [this](const std::optional<int64_t>& id,
-                                     const Status& status) {
+  const auto error_response = [this, id](const Status& status) {
     request_errors_.Increment();
     const bool retryable = status.IsResourceExhausted() ||
                            status.IsUnavailable();
@@ -565,94 +592,85 @@ std::string MatcherService::HandleLine(std::string_view line,
   };
   if (deadline.expired()) {
     deadline_exceeded_.Increment();
-    return error_response(
-        request->id,
-        Status::DeadlineExceeded("request deadline expired before dispatch"));
+    done(error_response(
+        Status::DeadlineExceeded("request deadline expired before dispatch")));
+    return;
   }
+  // The completion of a scoring op: its outcome feeds the rollback trip,
+  // then `format` serializes the result.
+  const auto reply = [&](auto format) {
+    return [this, id, error_response, format,
+            done = std::move(done)](auto outcome) {
+      registry_->RecordOutcome(IsModelFault(outcome.value.status()));
+      if (!outcome.value.ok()) {
+        done(error_response(outcome.value.status()));
+        return;
+      }
+      if (outcome.degraded) {
+        degraded_responses_.Increment();
+      }
+      done(format(id, *outcome.value, outcome.degraded));
+    };
+  };
+  const auto identity = [](const ModelInfo& info) {
+    ModelIdentity model;
+    model.version = info.version;
+    model.fingerprint = info.fingerprint;
+    model.format_version = info.format_version;
+    return model;
+  };
   switch (request->op) {
     case Op::kPing:
       ping_requests_.Increment();
-      return PingResponse(request->id);
+      done(PingResponse(id));
+      return;
     case Op::kStats:
       stats_requests_.Increment();
-      return StatsResponse(request->id, Snapshot());
-    case Op::kHealth: {
+      done(StatsResponse(id, Snapshot()));
+      return;
+    case Op::kHealth:
       admin_requests_.Increment();
-      const GenerationPtr generation = registry_->Acquire();
-      ModelIdentity identity;
-      identity.version = generation->info().version;
-      identity.fingerprint = generation->info().fingerprint;
-      identity.format_version = generation->info().format_version;
-      return HealthResponse(request->id, !draining(), identity);
-    }
-    case Op::kReady: {
+      done(HealthResponse(id, !draining(),
+                          identity(registry_->Acquire()->info())));
+      return;
+    case Op::kReady:
       admin_requests_.Increment();
-      const GenerationPtr generation = registry_->Acquire();
-      ModelIdentity identity;
-      identity.version = generation->info().version;
-      identity.fingerprint = generation->info().fingerprint;
-      identity.format_version = generation->info().format_version;
-      return ReadyResponse(request->id, ready(), identity);
-    }
-    case Op::kReload: {
+      done(ReadyResponse(id, ready(), identity(registry_->Acquire()->info())));
+      return;
+    case Op::kReload:
       admin_requests_.Increment();
-      StatusOr<ReloadOutcome> outcome = registry_->Reload(request->model_path);
-      if (!outcome.ok()) {
-        return error_response(request->id, outcome.status());
-      }
-      ModelIdentity identity;
-      identity.version = outcome->info.version;
-      identity.fingerprint = outcome->info.fingerprint;
-      identity.format_version = outcome->info.format_version;
-      return ReloadResponse(request->id, identity, outcome->canary_divergence,
-                            outcome->canary_pairs);
-    }
-    case Op::kScore: {
+      StartReload(request->model_path, [this, id, deadline, error_response,
+                                        identity, done = std::move(done)](
+                                           StatusOr<ReloadOutcome> outcome) {
+        if (outcome.ok() && deadline.expired()) {
+          // Too late for the client, as with a late score: counted here.
+          deadline_exceeded_.Increment();
+          outcome = Status::DeadlineExceeded(
+              "request deadline expired before the reload finished");
+        }
+        done(outcome.ok() ? ReloadResponse(id, identity(outcome->info),
+                                           outcome->canary_divergence,
+                                           outcome->canary_pairs)
+                          : error_response(outcome.status()));
+      });
+      return;
+    case Op::kScore:
       score_requests_.Increment();
-      bool degraded = false;
-      StatusOr<std::vector<double>> scores =
-          Score(request->pairs, deadline, &degraded);
-      registry_->RecordOutcome(IsModelFault(scores.status()));
-      if (!scores.ok()) {
-        return error_response(request->id, scores.status());
-      }
-      if (degraded) {
-        degraded_responses_.Increment();
-      }
-      return ScoreResponse(request->id, scores.value(), degraded);
-    }
-    case Op::kTopK: {
+      StartScore(request->pairs, deadline, reply(&ScoreResponse));
+      return;
+    case Op::kTopK:
       topk_requests_.Increment();
-      bool degraded = false;
-      StatusOr<std::vector<MatchResult>> matches =
-          TopK(request->query, request->candidates, request->k, deadline,
-               &degraded);
-      registry_->RecordOutcome(IsModelFault(matches.status()));
-      if (!matches.ok()) {
-        return error_response(request->id, matches.status());
-      }
-      if (degraded) {
-        degraded_responses_.Increment();
-      }
-      return TopKResponse(request->id, matches.value(), degraded);
-    }
-    case Op::kIndexMatch: {
+      StartTopK(request->query, request->candidates, request->k, deadline,
+                reply(&TopKResponse));
+      return;
+    case Op::kIndexMatch:
       index_requests_.Increment();
-      bool degraded = false;
-      StatusOr<IndexMatchOutcome> outcome =
-          IndexMatch(request->query, request->k, deadline, &degraded);
-      registry_->RecordOutcome(IsModelFault(outcome.status()));
-      if (!outcome.ok()) {
-        return error_response(request->id, outcome.status());
-      }
-      if (degraded) {
-        degraded_responses_.Increment();
-      }
-      return IndexMatchResponse(request->id, outcome.value(), degraded);
-    }
+      StartIndexMatch(request->query, request->k, deadline,
+                      reply(&IndexMatchResponse));
+      return;
   }
   request_errors_.Increment();
-  return ErrorResponse(request->id, Status::Internal("unhandled op"));
+  done(ErrorResponse(id, Status::Internal("unhandled op")));
 }
 
 ServiceStats MatcherService::Snapshot() const {

@@ -5,8 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,9 +27,6 @@ namespace leapme::serve {
 struct ServiceOptions {
   /// Largest number of pairs scored in one DesignMatrix/Infer call.
   size_t max_batch = 256;
-  /// How long the batcher waits for more pairs after the first one
-  /// arrives before flushing a partial batch. 0 flushes immediately.
-  size_t batch_window_us = 200;
   /// Bound on the pairs admitted into the micro-batch queue. A request
   /// whose pairs would push the queue past this limit is refused with a
   /// typed ResourceExhausted (and counted in rejected_overload) instead
@@ -45,10 +45,9 @@ struct ServiceOptions {
 /// to it, and the old generation is freed when its last in-flight pair
 /// completes (DESIGN.md §18).
 ///
-/// Concurrent Score/TopK callers do not run inference independently:
-/// every pair is enqueued with a completion slot, and a single batcher
-/// thread drains the queue into micro-batches of up to `max_batch` pairs
-/// (waiting `batch_window_us` for stragglers). A batch drained across a
+/// Every request is admitted on the caller's thread and completed by a
+/// single batcher thread, which scores whatever is queued as soon as it
+/// is free, up to `max_batch` pairs per call. A batch drained across a
 /// reload boundary may hold pairs from two generations; the batcher
 /// groups rows by generation and issues one ScoreFeaturePairs call per
 /// group, so batching stays invisible in the results — scores are
@@ -127,15 +126,24 @@ class MatcherService {
                                          Deadline deadline, bool* degraded);
 
   /// Full protocol dispatch for one request line: parse, execute,
-  /// serialize. Never fails — protocol and execution errors become
-  /// ok:false responses.
+  /// serialize, then run `done` exactly once with the response line,
+  /// without its newline (protocol
+  /// and execution errors become ok:false responses). `done` runs before
+  /// Submit returns when the request ends on the calling thread (parse
+  /// errors, ping/stats/health/ready, refused admission), else on the
+  /// batcher, or on the service's reload thread for `reload`. A request
+  /// that finishes after `deadline` gets a typed DeadlineExceeded.
+  void Submit(std::string_view line, Deadline deadline,
+              std::function<void(std::string)> done);
+
+  /// Submit, waiting for the response.
   std::string HandleLine(std::string_view line) {
     return HandleLine(line, Deadline::Infinite());
   }
 
   /// HandleLine under a request deadline (started by the transport when
-  /// the request's first bytes arrived). An expired deadline at any stage
-  /// becomes a typed DeadlineExceeded error response.
+  /// the request's first bytes arrived). It gives up at the deadline with
+  /// a typed DeadlineExceeded error response.
   std::string HandleLine(std::string_view line, Deadline deadline);
 
   /// Connection lifecycle hooks, called by the transport so connection
@@ -190,21 +198,32 @@ class MatcherService {
   /// All counters exposed by the "stats" op.
   ServiceStats Snapshot() const;
 
-  const ServiceOptions& options() const { return options_; }
-
  private:
   using FeaturePtr = ModelGeneration::FeaturePtr;
   using GenerationPtr = std::shared_ptr<const ModelGeneration>;
 
-  /// Completion state shared by all in-flight pairs of one request.
+  /// A scoring request's result, and whether any pair was degraded.
+  template <typename T>
+  struct Outcome {
+    StatusOr<T> value;
+    bool degraded = false;
+  };
+  template <typename T>
+  using Done = std::function<void(Outcome<T>)>;
+
+  /// Completion state shared by all in-flight pairs of one request. Only
+  /// the batcher touches a queued job, so it needs no lock.
   struct ScoreJob {
-    explicit ScoreJob(size_t pair_count)
-        : scores(pair_count), remaining(pair_count) {}
-    std::mutex mu;
-    std::condition_variable cv;
+    ScoreJob(size_t pair_count, Deadline deadline)
+        : scores(pair_count), remaining(pair_count), deadline(deadline) {}
     std::vector<double> scores;
     size_t remaining;
     Status status;  // first failure wins
+    bool degraded = false;
+    Deadline deadline;  // pairs still queued when it passes are shed
+    std::chrono::steady_clock::time_point start =  // of the service time
+        std::chrono::steady_clock::now();
+    Done<std::vector<double>> done;  // runs exactly once
   };
 
   struct PendingPair {
@@ -220,23 +239,13 @@ class MatcherService {
     /// Either side's embedding lookup failed: score with embedding
     /// columns masked instead of failing the batch.
     bool degraded = false;
-    /// The owning request's deadline; the batcher sheds pairs that
-    /// expire while queued instead of scoring work nobody waits for.
-    Deadline deadline;
     /// Admission instant, for the queue_age_us gauge.
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// Computes (or fetches from the generation's cache) the feature
-  /// vector of `spec`. When the embedding.lookup fault point fires on a
-  /// cache miss, `*degraded` is set and the (untrusted) features are not
-  /// cached.
-  FeaturePtr GetPropertyFeatures(const ModelGeneration& generation,
-                                 const PropertySpec& spec, bool* degraded);
-
-  /// Counted single-key resolve behind GetPropertyFeatures and the
-  /// batch gather: probe (hit or miss counted), compute on miss, cache
-  /// unless the embedding fault fired.
+  /// Counted single-key resolve behind the batch gather: probe (hit or
+  /// miss counted), compute on miss, cache unless the embedding fault
+  /// fired.
   FeaturePtr ResolvePropertyFeatures(const ModelGeneration& generation,
                                      std::string_view key,
                                      const PropertySpec& spec,
@@ -251,12 +260,39 @@ class MatcherService {
                               const std::vector<const PropertySpec*>& specs,
                               FeaturePtr* out, uint8_t* degraded);
 
-  /// Enqueues pairs for the batcher and blocks until the job completes
-  /// or `deadline` passes. Refuses admission (ResourceExhausted) when
-  /// the queue bound would be exceeded.
-  StatusOr<std::vector<double>> ScoreFeaturePairsBatched(
-      std::vector<PendingPair> pending, std::shared_ptr<ScoreJob> job,
-      Deadline deadline);
+  /// The typed paths behind Submit and the synchronous wrappers: each
+  /// validates, gathers features and admits on the calling thread, and
+  /// runs `done` once, inline if the request ends before admission.
+  void StartScore(const std::vector<PropertyPairSpec>& pairs,
+                  Deadline deadline, Done<std::vector<double>> done);
+  void StartTopK(const PropertySpec& query,
+                 const std::vector<PropertySpec>& candidates, size_t k,
+                 Deadline deadline, Done<std::vector<MatchResult>> done);
+  void StartIndexMatch(const PropertySpec& query, size_t k,
+                       Deadline deadline, Done<IndexMatchOutcome> done);
+  /// Runs a `reload` on the reload thread; refuses (Unavailable) while a
+  /// previous one is still running.
+  void StartReload(std::string path,
+                   std::function<void(StatusOr<ReloadOutcome>)> done);
+
+  /// Gathers `specs`' features in one cache wave and admits row i as
+  /// the pair (specs[rows[i].first], specs[rows[i].second]).
+  void AdmitPairs(const GenerationPtr& generation,
+                  const std::vector<const PropertySpec*>& specs,
+                  const std::vector<std::pair<size_t, size_t>>& rows,
+                  std::shared_ptr<ScoreJob> job);
+  /// Queues `job`'s pairs for the batcher, or finishes the job at once
+  /// when it cannot be admitted (expired deadline, queue bound, shutdown).
+  void Admit(std::vector<PendingPair> pending, std::shared_ptr<ScoreJob> job);
+  /// Runs `job`'s completion with its scores, or with its failure.
+  void FinishJob(ScoreJob& job);
+
+  /// The one wait behind HandleLine, Score, TopK and IndexMatch: runs
+  /// `start` and blocks until its completion runs or `deadline` passes;
+  /// sets `*degraded` (may be null) as the outcome says.
+  template <typename T>
+  static StatusOr<T> Await(Deadline deadline, bool* degraded,
+                           const std::function<void(Done<T>)>& start);
 
   void BatcherLoop();
   void ScoreBatch(std::vector<PendingPair>& batch);
@@ -264,6 +300,8 @@ class MatcherService {
   /// with a single ScoreFeaturePairs call and completes its jobs.
   void ScoreBatchGroup(std::vector<PendingPair>& batch, size_t begin,
                        size_t end);
+  /// Counts one pair of its job done; finishes the job after the last.
+  void CompletePair(const PendingPair& pair, const Status& status);
 
   /// Records the service time of one request that started at `start`.
   void RecordLatency(std::chrono::steady_clock::time_point start) {
@@ -311,6 +349,12 @@ class MatcherService {
   std::atomic<int64_t> writable_backlog_bytes_{0};
   // Service time of every Score/TopK/IndexMatch call since start.
   LatencyRecorder latency_;
+
+  // The running (or last) `reload`; at most one runs at a time. Declared
+  // last: the std::async future waits for its task when destroyed, and
+  // that happens first, while the counters the task updates still exist.
+  std::mutex reload_mu_;
+  std::future<void> reload_;
 };
 
 }  // namespace leapme::serve

@@ -203,7 +203,8 @@ struct RegistryStats {
 /// increments reloads_rejected.
 ///
 /// Thread-safe: Acquire/CapturePair/RecordOutcome are request-path safe,
-/// Reload may run from any thread (signal tick or a `reload` op worker).
+/// Reload may run from any thread (signal tick or the service's reload
+/// thread).
 class ModelRegistry {
  public:
   /// Builds the owned resources of one candidate generation from a model

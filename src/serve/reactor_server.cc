@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -39,60 +40,6 @@ constexpr int64_t kLingerMs = 1000;
 constexpr int64_t kDrainGraceMs = 5000;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// WorkerPool
-
-ReactorServer::WorkerPool::WorkerPool(MatcherService* service, size_t threads)
-    : service_(service) {
-  threads_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ReactorServer::WorkerPool::~WorkerPool() { Stop(); }
-
-void ReactorServer::WorkerPool::Submit(WorkItem item) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(item));
-  }
-  cv_.notify_one();
-}
-
-void ReactorServer::WorkerPool::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      return;
-    }
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& thread : threads_) {
-    if (thread.joinable()) {
-      thread.join();
-    }
-  }
-}
-
-void ReactorServer::WorkerPool::WorkerLoop() {
-  while (true) {
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stop_ set and nothing left to answer
-      }
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    std::string response = service_->HandleLine(item.line, item.deadline);
-    item.loop->PostCompletion(item.token, std::move(response));
-  }
-}
 
 // ---------------------------------------------------------------------------
 // EventLoop
@@ -172,6 +119,7 @@ void ReactorServer::EventLoop::RequestDrain() {
 }
 
 void ReactorServer::EventLoop::Run() {
+  thread_id_ = std::this_thread::get_id();
   std::vector<epoll_event> events(256);
   // One finite clock for the whole drain; set when drain begins.
   Deadline drain_deadline;
@@ -281,6 +229,7 @@ void ReactorServer::EventLoop::DrainMailbox() {
       // Raced with shutdown: the accept already counted it, undo.
       ::close(fd);
       server_->open_connections_.fetch_sub(1, std::memory_order_relaxed);
+      server_->service_->OnConnectionClosed();
       continue;
     }
     auto conn = std::make_unique<Connection>();
@@ -294,10 +243,10 @@ void ReactorServer::EventLoop::DrainMailbox() {
                           << std::strerror(errno);
       ::close(fd);
       server_->open_connections_.fetch_sub(1, std::memory_order_relaxed);
+      server_->service_->OnConnectionClosed();
       continue;
     }
     conn->registered_events = EPOLLIN;
-    server_->service_->OnConnectionOpened();
     connections_.emplace(conn->token, std::move(conn));
   }
   for (auto& [token, response] : completions) {
@@ -386,6 +335,9 @@ void ReactorServer::EventLoop::HandleListener() {
       continue;
     }
     server_->open_connections_.fetch_add(1, std::memory_order_relaxed);
+    // Counted at accept, not at adoption: a request answered on one loop
+    // then sees every connection accepted before its own.
+    server_->service_->OnConnectionOpened();
     const size_t target = server_->next_loop_.fetch_add(
                               1, std::memory_order_relaxed) %
                           server_->loops_.size();
@@ -416,6 +368,12 @@ void ReactorServer::EventLoop::HandleEvent(Connection* conn,
   conn = it->second.get();
   if ((events & EPOLLOUT) != 0 && conn->backlog() > 0) {
     FlushOutput(conn);
+    // The flush may have made room for lines held back by a full backlog.
+    it = connections_.find(token);
+    if (it != connections_.end() && !it->second->pending.empty()) {
+      MaybeDispatch(it->second.get());
+      FlushOutput(it->second.get());
+    }
   }
 }
 
@@ -497,13 +455,10 @@ void ReactorServer::EventLoop::ReadFromConnection(Connection* conn) {
     return;
   }
   MaybeDispatch(conn);
-  if (conn->peer_eof) {
-    if (conn->pending.empty() && !conn->in_flight && conn->backlog() == 0) {
-      CloseConnection(conn);
-      return;
-    }
-    UpdateWriteInterest(conn);  // drop EPOLLIN; EOF stays asserted
-  }
+  // Sends what was answered inline, closes a half-closed connection with
+  // nothing left to answer, and drops EPOLLIN after EOF (it stays
+  // asserted) or past the read budget.
+  FlushOutput(conn);
 }
 
 bool ReactorServer::EventLoop::FrameInput(Connection* conn) {
@@ -519,6 +474,7 @@ bool ReactorServer::EventLoop::FrameInput(Connection* conn) {
     }
     if (!line.empty()) {
       conn->pending.emplace_back(line);
+      conn->pending_bytes += line.size();
     }
     start = newline + 1;
   }
@@ -535,44 +491,44 @@ bool ReactorServer::EventLoop::FrameInput(Connection* conn) {
 }
 
 void ReactorServer::EventLoop::MaybeDispatch(Connection* conn) {
-  if (conn->in_flight || conn->pending.empty() || conn->close_after_flush ||
-      conn->draining) {
-    return;
+  while (!conn->in_flight && !conn->pending.empty() &&
+         !conn->close_after_flush && !conn->draining &&
+         conn->backlog() <= server_->options_.max_line_bytes) {
+    const std::string line = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    conn->pending_bytes -= line.size();
+    conn->in_flight = true;
+    server_->in_flight_.fetch_add(1, std::memory_order_relaxed);
+    // The loop keeps timing the request while the service holds it.
+    server_->service_->Submit(
+        line, conn->deadline,
+        [this, token = conn->token](std::string response) {
+          if (std::this_thread::get_id() == thread_id_) {
+            inline_response_ = std::move(response);  // inside Submit
+          } else {
+            PostCompletion(token, std::move(response));
+          }
+          // Last touch of the loop: Stop may destroy it after this.
+          server_->in_flight_.fetch_sub(1, std::memory_order_release);
+        });
+    if (!inline_response_.has_value()) {
+      return;  // the batcher or the reload thread answers
+    }
+    Answer(conn, std::move(*inline_response_));
+    inline_response_.reset();
   }
-  WorkItem item;
-  item.loop = this;
-  item.token = conn->token;
-  item.line = std::move(conn->pending.front());
-  conn->pending.pop_front();
-  item.deadline = conn->deadline;
-  conn->in_flight = true;
-  // While the service holds the request it enforces the deadline itself
-  // (a typed DeadlineExceeded response comes back); the loop only times
-  // connections it is responsible for.
-  deadlined_.erase(conn->token);
-  server_->workers_->Submit(std::move(item));
 }
 
 void ReactorServer::EventLoop::OnResponse(Connection* conn,
                                           std::string response) {
-  if (conn->draining) {
-    return;  // the lingering close already discarded this request
+  if (!conn->in_flight) {
+    // The loop already answered this request (deadline) or discarded it
+    // (lingering close).
+    return;
   }
-  const uint64_t token = conn->token;
-  conn->in_flight = false;
-  QueueResponse(conn, std::move(response));
-  ResetDeadlineAfterAnswer(conn);
-  FlushOutput(conn);
-  auto it = connections_.find(token);
-  if (it == connections_.end()) {
-    return;  // flush failed and closed the connection
-  }
-  conn = it->second.get();
+  Answer(conn, std::move(response));
   MaybeDispatch(conn);
-  if (conn->peer_eof && conn->pending.empty() && !conn->in_flight &&
-      conn->backlog() == 0 && !conn->draining) {
-    CloseConnection(conn);
-  }
+  FlushOutput(conn);
 }
 
 void ReactorServer::EventLoop::QueueResponse(Connection* conn,
@@ -583,20 +539,16 @@ void ReactorServer::EventLoop::QueueResponse(Connection* conn,
   AdjustBacklogGauge(before, conn->backlog());
 }
 
-void ReactorServer::EventLoop::ResetDeadlineAfterAnswer(Connection* conn) {
-  if (server_->options_.deadline_ms <= 0) {
-    return;
-  }
-  // The answered request's budget is spent; any remaining work — the
-  // response flush, a pipelined follow-up, a trickling partial line —
-  // runs on a fresh one. A fully idle connection has no clock ticking.
-  if (!conn->pending.empty() || !conn->input.empty() ||
-      conn->backlog() > 0 || conn->in_flight) {
+void ReactorServer::EventLoop::Answer(Connection* conn,
+                                      std::string response) {
+  conn->in_flight = false;
+  QueueResponse(conn, std::move(response));
+  if (server_->options_.deadline_ms > 0) {
+    // The answered request's budget is spent; the reply flush, a
+    // pipelined follow-up or a trickling partial line runs on a fresh
+    // one (FlushOutput clears it once the connection is idle).
     conn->deadline = Deadline::AfterMs(server_->options_.deadline_ms);
     deadlined_[conn->token] = conn;
-  } else {
-    conn->deadline = Deadline::Infinite();
-    deadlined_.erase(conn->token);
   }
 }
 
@@ -660,7 +612,7 @@ void ReactorServer::EventLoop::FlushOutput(Connection* conn) {
     // The flush left the connection fully idle: the answered request's
     // budget is spent and no new request has started, so no clock may
     // keep ticking (the idle keep-alive contract). This also undoes the
-    // restart OnResponse applies while the response is still queued.
+    // restart Answer applies while the response is still queued.
     conn->deadline = Deadline::Infinite();
     deadlined_.erase(conn->token);
   }
@@ -669,8 +621,13 @@ void ReactorServer::EventLoop::FlushOutput(Connection* conn) {
 
 void ReactorServer::EventLoop::UpdateWriteInterest(Connection* conn) {
   uint32_t want = 0;
-  if (!conn->peer_eof || conn->draining) {
-    want |= EPOLLIN;  // draining still reads (and discards) until FIN
+  // Draining still reads (and discards) until FIN. Otherwise a connection
+  // whose unanswered lines plus unflushed replies exceed max_line_bytes
+  // is not read until they drain.
+  if (conn->draining ||
+      (!conn->peer_eof && conn->pending_bytes + conn->backlog() <=
+                              server_->options_.max_line_bytes)) {
+    want |= EPOLLIN;
   }
   if (conn->backlog() > 0 && !conn->draining) {
     want |= EPOLLOUT;
@@ -703,7 +660,8 @@ void ReactorServer::EventLoop::BeginLingeringClose(Connection* conn) {
   ::shutdown(conn->fd, SHUT_WR);
   conn->draining = true;
   conn->pending.clear();
-  conn->in_flight = false;  // a late completion is dropped by token lookup
+  conn->pending_bytes = 0;
+  conn->in_flight = false;  // a late completion is dropped by OnResponse
   conn->deadline = Deadline::AfterMs(kLingerMs);
   deadlined_[conn->token] = conn;
   UpdateWriteInterest(conn);
@@ -728,22 +686,27 @@ void ReactorServer::EventLoop::CheckDeadlines() {
       CloseConnection(conn);
       continue;
     }
-    if (conn->in_flight) {
-      continue;  // the service enforces this one (defensive; not expected)
-    }
-    if (conn->backlog() > 0) {
+    if (conn->backlog() > 0 && !conn->in_flight) {
       // Write stall: the peer stopped reading within the request budget.
       // Treat it as a dead connection rather than buffering forever.
       CloseConnection(conn);
       continue;
     }
-    // A request line that never finished arriving.
-    server_->service_->OnRequestTimeout();
+    // A request line that never finished arriving, or a request the
+    // service still holds. OnResponse drops the latter's late completion,
+    // and the service counts that miss once, when the request completes.
+    if (!conn->in_flight) {
+      server_->service_->OnRequestTimeout();
+    }
     QueueResponse(conn,
                   ErrorResponse(std::nullopt,
                                 Status::DeadlineExceeded(
-                                    "request deadline expired before the "
-                                    "request line completed")));
+                                    conn->in_flight
+                                        ? "request deadline expired before "
+                                          "the response was ready"
+                                        : "request deadline expired before "
+                                          "the request line completed")));
+    conn->in_flight = false;
     conn->input.clear();
     conn->close_after_flush = true;
     FlushOutput(conn);
@@ -787,9 +750,6 @@ ReactorServer::ReactorServer(MatcherService* service,
     : service_(service), options_(options) {
   if (options_.event_loop_threads == 0) {
     options_.event_loop_threads = 1;
-  }
-  if (options_.worker_threads == 0) {
-    options_.worker_threads = 1;
   }
 }
 
@@ -846,21 +806,17 @@ Status ReactorServer::Start() {
   } else {
     port_ = options_.port;
   }
-  workers_ =
-      std::make_unique<WorkerPool>(service_, options_.worker_threads);
   loops_.reserve(options_.event_loop_threads);
   for (size_t i = 0; i < options_.event_loop_threads; ++i) {
     auto loop = std::make_unique<EventLoop>(this, i);
     const Status status = loop->Init(i == 0 ? listen_fd_ : -1);
     if (!status.ok()) {
       loops_.clear();
-      workers_.reset();
       CloseIfOpen(listen_fd_);
       return status;
     }
     loops_.push_back(std::move(loop));
   }
-  stopping_.store(false, std::memory_order_relaxed);
   for (auto& loop : loops_) {
     loop->thread_ = std::thread([raw = loop.get()] { raw->Run(); });
   }
@@ -872,23 +828,22 @@ void ReactorServer::Stop() {
   if (!started_) {
     return;
   }
-  stopping_.store(true, std::memory_order_relaxed);
   for (auto& loop : loops_) {
     loop->RequestDrain();
   }
   // Join the loop threads so drains run to completion, but keep the
-  // EventLoop objects alive until the workers have stopped: a drain
-  // (grace expiry) or EPOLLHUP can force-close an in-flight connection
-  // and let a loop exit Run() while a worker still holds a WorkItem for
-  // it, and that worker's PostCompletion must land on a live mailbox.
+  // EventLoop objects alive until every submitted request has completed:
+  // a drain (grace expiry) or EPOLLHUP can force-close an in-flight
+  // connection and let a loop exit Run() while the service still holds
+  // its request, and that request's PostCompletion must land on a live
+  // mailbox.
   for (auto& loop : loops_) {
     if (loop->thread_.joinable()) {
       loop->thread_.join();
     }
   }
-  if (workers_) {
-    workers_->Stop();
-    workers_.reset();
+  while (in_flight_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   loops_.clear();
   CloseIfOpen(listen_fd_);

@@ -2,11 +2,11 @@
 #define LEAPME_SERVE_REACTOR_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -24,30 +24,32 @@ namespace leapme::serve::internal {
 ///
 /// Structure: `event_loop_threads` reactor loops, each owning an epoll
 /// set, an eventfd, and the full state of the connections pinned to it;
-/// one listener (on loop 0) assigning accepts round-robin; and a fixed
-/// pool of `worker_threads` request workers. The loops do no scoring and
-/// the workers do no socket I/O:
+/// one listener (on loop 0) assigning accepts round-robin. A loop hands
+/// each request straight to MatcherService::Submit, and the batcher
+/// hands the response back:
 ///
-///   loop:   read readiness -> non-blocking recv into the framing
-///           buffer -> complete lines queue per connection -> dispatch
-///           (at most one in-flight request per connection, preserving
-///           response order) -> worker pool
-///   worker: MatcherService::HandleLine (blocks in the micro-batcher as
-///           needed) -> posts the response to the owning loop's
-///           completion queue -> eventfd wakeup
-///   loop:   append response to the connection's output queue ->
-///           EAGAIN-aware flush, registering EPOLLOUT only while bytes
-///           remain -> restart/clear the request deadline -> dispatch
-///           the next pipelined line
+///   loop:    read readiness -> non-blocking recv into the framing
+///            buffer -> complete lines queue per connection -> dispatch
+///            (at most one in-flight request per connection, preserving
+///            response order) -> MatcherService::Submit (parse, cheap
+///            ops, feature gather and admission run on the loop)
+///   batcher: scores the queued pairs -> the request's completion posts
+///            the response to the owning loop's mailbox -> eventfd wakeup
+///   loop:    append response to the connection's output queue ->
+///            EAGAIN-aware flush, registering EPOLLOUT only while bytes
+///            remain -> restart/clear the request deadline -> dispatch
+///            the next pipelined line
 ///
 /// Overload controls and the wire contract: max_connections rejects
 /// inline at accept with Unavailable + retry_after_ms; deadline_ms spans
-/// read -> batch -> score -> write (a stalled request line gets a typed
-/// DeadlineExceeded, a stalled reader is disconnected when its response
-/// outlives the budget); the serve.accept / serve.read / serve.write
-/// fault points bracket the accept, recv and send calls. Every accepted
-/// socket gets TCP_NODELAY, so a reply is never held back waiting for
-/// the peer to acknowledge the previous one.
+/// read -> batch -> score -> write (a stalled request line or a request
+/// still at the service gets a typed DeadlineExceeded and a close, a
+/// stalled reader is disconnected when its response outlives the
+/// budget); max_line_bytes also bounds each connection's unanswered
+/// lines plus unflushed replies (past it, reads stop); the serve.accept
+/// / serve.read / serve.write fault points bracket the accept, recv and
+/// send calls. Every accepted socket gets TCP_NODELAY, so a reply is
+/// never held back waiting for the peer to acknowledge the previous one.
 ///
 /// Stop() is idempotent and callable after a failed Start().
 class ReactorServer {
@@ -62,37 +64,11 @@ class ReactorServer {
  private:
   class EventLoop;
 
-  struct WorkItem {
-    EventLoop* loop = nullptr;
-    uint64_t token = 0;
-    std::string line;
-    Deadline deadline;
-  };
-
-  /// Fixed pool of request workers shared by all loops.
-  class WorkerPool {
-   public:
-    WorkerPool(MatcherService* service, size_t threads);
-    ~WorkerPool();
-    void Submit(WorkItem item);
-    void Stop();
-
-   private:
-    void WorkerLoop();
-
-    MatcherService* service_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<WorkItem> queue_;
-    bool stop_ = false;
-    std::vector<std::thread> threads_;
-  };
-
   /// One reactor loop: epoll set + eventfd + the connections pinned to
   /// it. Connection state is touched only by the owning loop thread;
-  /// cross-thread input (adopted fds, worker completions, stop requests)
-  /// arrives through the mutex-guarded mailbox drained after each
-  /// eventfd wakeup.
+  /// cross-thread input (adopted fds, request completions, stop
+  /// requests) arrives through the mutex-guarded mailbox drained after
+  /// each eventfd wakeup.
   class EventLoop {
    public:
     EventLoop(ReactorServer* server, size_t index);
@@ -104,7 +80,7 @@ class ReactorServer {
 
     /// Hands a freshly accepted (non-blocking) socket to this loop.
     void AdoptConnection(int fd);
-    /// Called by workers when a response is ready.
+    /// Called from the batcher or reload thread when a response is ready.
     void PostCompletion(uint64_t token, std::string response);
     /// Begins graceful drain: treat every connection as half-closed,
     /// answer what was already received, then close.
@@ -116,6 +92,7 @@ class ReactorServer {
       uint64_t token = 0;
       std::string input;                     // unframed request bytes
       std::deque<std::string> pending;       // complete lines, undispatched
+      size_t pending_bytes = 0;              // total size of `pending`
       std::string output;                    // unflushed response bytes
       size_t output_offset = 0;              // flushed prefix of `output`
       bool in_flight = false;                // one request at the service
@@ -133,14 +110,16 @@ class ReactorServer {
     /// Moves complete lines from input to pending; false when the
     /// connection must close (oversized unterminated line).
     bool FrameInput(Connection* conn);
+    /// Submits pending lines while none is in flight and the backlog is
+    /// within budget. The caller flushes.
     void MaybeDispatch(Connection* conn);
     void OnResponse(Connection* conn, std::string response);
     void FlushOutput(Connection* conn);
     void QueueResponse(Connection* conn, std::string response);
-    void UpdateWriteInterest(Connection* conn);
-    /// Restarts (or clears) the deadline after a line was answered, so
+    /// Queues the in-flight request's reply and restarts the deadline, so
     /// every pipelined line gets a budget of its own.
-    void ResetDeadlineAfterAnswer(Connection* conn);
+    void Answer(Connection* conn, std::string response);
+    void UpdateWriteInterest(Connection* conn);
     void CheckDeadlines();
     int NextTimeoutMs() const;
     /// Graceful server-initiated close: flush, FIN, drain until EOF.
@@ -163,6 +142,10 @@ class ReactorServer {
     /// with tens of thousands of idle connections.
     std::unordered_map<uint64_t, Connection*> deadlined_;
     ReserveFd reserve_fd_;
+    /// Set by Run(). A completion on this thread ran inside Submit and
+    /// lands in inline_response_ instead of the mailbox.
+    std::thread::id thread_id_;
+    std::optional<std::string> inline_response_;
 
     std::mutex mailbox_mu_;
     std::vector<int> adopted_fds_;
@@ -178,11 +161,12 @@ class ReactorServer {
   ServerOptions options_;
   int listen_fd_ = -1;
   int port_ = -1;
-  std::atomic<bool> stopping_{false};
   std::atomic<size_t> open_connections_{0};
   std::atomic<size_t> next_loop_{0};
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::unique_ptr<WorkerPool> workers_;
+  /// Requests submitted and not yet completed. Stop waits for zero before
+  /// destroying the loops, so every completion lands on a live mailbox.
+  std::atomic<size_t> in_flight_{0};
   bool started_ = false;
 };
 

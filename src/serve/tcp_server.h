@@ -21,7 +21,9 @@ struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   int port = 0;
   /// Largest accepted request line. A connection that exceeds it gets one
-  /// error response and is closed (the stream is no longer framed).
+  /// error response and is closed (the stream is no longer framed). Also
+  /// the per-connection read budget: a connection is not read while its
+  /// unanswered lines plus its unflushed replies exceed it.
   size_t max_line_bytes = 1 << 20;
   /// Listen backlog.
   int backlog = 64;
@@ -42,11 +44,6 @@ struct ServerOptions {
   /// accept time and stay pinned, so all state of one connection is
   /// touched by exactly one loop thread.
   size_t event_loop_threads = EventLoopThreadsFromEnv();
-  /// Worker threads executing requests for the reactor. Workers block in
-  /// MatcherService::HandleLine (micro-batch wait included) and post
-  /// finished responses back to the owning loop, so the loops themselves
-  /// never block on scoring.
-  size_t worker_threads = 4;
   /// SO_SNDBUF for accepted connections (0 = OS default), set on the
   /// listening socket so accepts inherit it. Tests use a tiny buffer to
   /// force writable backpressure deterministically.
@@ -57,10 +54,11 @@ namespace internal {
 class ReactorServer;
 }  // namespace internal
 
-/// Line-delimited JSON scoring server. Each request line is answered
-/// through MatcherService::HandleLine (which funnels all scoring into
-/// the shared micro-batcher); connections are multiplexed by the epoll
-/// reactor (internal::ReactorServer, DESIGN.md §16).
+/// Line-delimited JSON scoring server. Each request line goes to
+/// MatcherService::Submit on the loop thread that read it; scoring runs
+/// on the service's micro-batcher, which posts the response back to that
+/// loop. Connections are multiplexed by the epoll reactor
+/// (internal::ReactorServer, DESIGN.md §16).
 ///
 /// Lifecycle: Start() binds/listens and starts serving; Stop() drains
 /// gracefully — it stops accepting, lets requests already received
@@ -84,7 +82,7 @@ class TcpServer {
   int port() const;
 
   /// Graceful shutdown as described above. Safe to call from any thread
-  /// other than a connection worker.
+  /// other than a reactor loop or the batcher.
   void Stop();
 
   /// Blocks until a process shutdown signal arrives, then Stop()s.

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/faults/fault_injector.h"
 #include "common/kernels/kernels.h"
 #include "core/leapme.h"
 #include "data/domain.h"
@@ -112,7 +113,6 @@ TEST_F(MatcherServiceTest, ScoresAreBitIdenticalToOffline) {
 TEST_F(MatcherServiceTest, OneRequestFormsOneBatch) {
   ServiceOptions options;
   options.max_batch = 64;
-  options.batch_window_us = 1000;
   auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
   MatcherService service(registry.get(), options);
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
@@ -137,7 +137,6 @@ TEST_F(MatcherServiceTest, OneRequestFormsOneBatch) {
 TEST_F(MatcherServiceTest, MaxBatchSplitsLargeRequests) {
   ServiceOptions options;
   options.max_batch = 4;
-  options.batch_window_us = 0;
   auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
   MatcherService service(registry.get(), options);
   std::vector<data::PropertyPair> pairs = dataset_->AllCrossSourcePairs();
@@ -423,7 +422,6 @@ TEST_F(MatcherServiceTest, StatsReportPerStageFeatureTimings) {
 
 TEST_F(MatcherServiceTest, LatencyStatsCountEveryRequest) {
   ServiceOptions options;
-  options.batch_window_us = 0;
   auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
   MatcherService service(registry.get(), options);
   const data::PropertyPair pair = dataset_->AllCrossSourcePairs()[0];
@@ -439,6 +437,20 @@ TEST_F(MatcherServiceTest, LatencyStatsCountEveryRequest) {
   EXPECT_EQ(stats.latency_samples, kCalls);
   EXPECT_GT(stats.latency_p50_us, 0.0);
   EXPECT_LE(stats.latency_p50_us, stats.latency_p99_us);
+}
+
+TEST_F(MatcherServiceTest, FailedTopKStillRecordsLatency) {
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
+  const std::vector<PropertySpec> candidates = {SpecOf(*dataset_, 1),
+                                                SpecOf(*dataset_, 2)};
+  ASSERT_TRUE(faults::FaultInjector::Global().Arm("serve.score:error").ok());
+  auto matches = service.TopK(SpecOf(*dataset_, 0), candidates, 1);
+  faults::FaultInjector::Global().Disarm();
+  // The call got past validation, so it is a sample even though scoring
+  // failed.
+  EXPECT_FALSE(matches.ok());
+  EXPECT_EQ(service.Snapshot().latency_samples, 1u);
 }
 
 }  // namespace

@@ -370,7 +370,6 @@ TEST_F(ModelRegistryTest, ReloadStressUnderConcurrentScoring) {
   ASSERT_TRUE(registry.Init(*path_a_).ok());
   ServiceOptions service_options;
   service_options.max_batch = 16;
-  service_options.batch_window_us = 50;
   auto service = MatcherService::Create(&registry, service_options);
   ASSERT_TRUE(service.ok()) << service.status();
 

@@ -1,13 +1,16 @@
 // Reactor-backend tests: line framing across arbitrary read() boundaries,
 // pipelined response ordering, idle keep-alive surviving the request
 // deadline, slow-reader writable backpressure (with the
-// writable_backlog_bytes gauge), reactor stats fields, replies sent
-// without waiting for the client's ACK (TCP_NODELAY), and a
-// 10k-idle-connection smoke — parameterized over 1 and 4 event-loop
-// threads so both the single-loop and the cross-loop paths are covered.
+// writable_backlog_bytes gauge), read backpressure against a peer that
+// pipelines without reading, the deadline of a request still at the
+// service, reactor stats fields, replies sent without waiting for the
+// client's ACK (TCP_NODELAY), and a 10k-idle-connection smoke —
+// parameterized over 1 and 4 event-loop threads so both the single-loop
+// and the cross-loop paths are covered.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/faults/fault_injector.h"
 #include "core/leapme.h"
 #include "data/domain.h"
 #include "data/generator.h"
@@ -76,6 +80,24 @@ class TestClient {
   }
 
   bool SendLine(const std::string& line) { return SendRaw(line + "\n"); }
+
+  /// Sends `bytes` until the socket takes no more for `stall_ms`; returns
+  /// how many were sent.
+  size_t SendUntilBlocked(std::string_view bytes, int stall_ms) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      pollfd pfd = {fd_, POLLOUT, 0};
+      if (::poll(&pfd, 1, stall_ms) <= 0) break;
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR || errno == EAGAIN) continue;
+        break;
+      }
+      sent += static_cast<size_t>(n);
+    }
+    return sent;
+  }
 
   bool ReadLine(std::string* out) {
     while (true) {
@@ -304,6 +326,99 @@ TEST_P(ReactorServerTest, SlowReaderBacklogsThenDrains) {
   EXPECT_EQ(
       parsed->Find("stats")->Find("writable_backlog_bytes")->AsNumber(),
       0.0);
+  server.Stop();
+}
+
+TEST_P(ReactorServerTest, PipelinedFloodWithoutReadingBlocksThenDrains) {
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
+  ServerOptions options = ReactorOptions();
+  // Small kernel buffers on the reply path, so the replies back up in
+  // the server rather than in the kernel.
+  options.sndbuf_bytes = 4096;
+  TcpServer server(&service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // 64 MB of pings, every line padded with JSON whitespace to the same
+  // length, so a byte count is a line count.
+  constexpr size_t kLineBytes = 64;
+  constexpr size_t kFloodBytes = size_t{64} << 20;
+  std::string flood;
+  flood.reserve(kFloodBytes);
+  for (size_t id = 0; flood.size() < kFloodBytes; ++id) {
+    std::string line = "{\"op\":\"ping\",\"id\":" + std::to_string(id);
+    line.append(kLineBytes - line.size() - 2, ' ');
+    flood += line + "}\n";
+  }
+  TestClient client(server.port(), /*rcvbuf_bytes=*/2048);
+  ASSERT_TRUE(client.connected());
+  const size_t sent = client.SendUntilBlocked(flood, /*stall_ms=*/1000);
+  // Past max_line_bytes of unanswered lines plus unflushed replies the
+  // server stops reading, so the flood stalls in the kernel buffers.
+  ASSERT_LT(sent, kFloodBytes / 4)
+      << "the server kept reading a peer that never reads its replies";
+
+  // Nothing was dropped: every complete line is answered, in order.
+  const size_t lines = sent / kLineBytes;
+  for (size_t i = 0; i < lines; ++i) {
+    std::string response;
+    ASSERT_TRUE(client.ReadLine(&response)) << "response " << i;
+    ASSERT_EQ(IdOf(response), static_cast<int64_t>(i)) << response;
+  }
+  server.Stop();
+}
+
+TEST_P(ReactorServerTest, InFlightRequestHitsDeadlineWithTypedReply) {
+  auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
+  MatcherService service(registry.get());
+  ServerOptions options = ReactorOptions();
+  options.deadline_ms = 20;
+  TcpServer server(&service, options);
+  ASSERT_TRUE(server.Start().ok());
+  struct Disarm {
+    ~Disarm() { faults::FaultInjector::Global().Disarm(); }
+  } disarm;
+  // Scoring stalls far past the budget: the loop must answer while the
+  // request is still at the service.
+  ASSERT_TRUE(
+      faults::FaultInjector::Global().Arm("serve.score:delay:ms=200").ok());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.SendLine(
+      R"({"op":"score","id":1,"pairs":[{"a":{"name":"screen size",)"
+      R"("values":["55 in"]},"b":{"name":"display","values":["55"]}}]})"));
+  std::string response;
+  ASSERT_TRUE(client.ReadLine(&response));
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  auto parsed = JsonValue::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  EXPECT_FALSE(parsed->Find("ok")->AsBool()) << response;
+  EXPECT_EQ(parsed->Find("error")->Find("code")->AsString(),
+            "DeadlineExceeded");
+  EXPECT_LT(elapsed_ms, 150.0);
+
+  // Once the batcher has finished the late batch (its completion records
+  // the latency sample), the request has counted once in each counter.
+  const auto stat = [&](const char* name) {
+    TestClient prober(server.port());
+    std::string line;
+    EXPECT_TRUE(prober.SendLine("{\"op\":\"stats\"}"));
+    EXPECT_TRUE(prober.ReadLine(&line));
+    auto stats = JsonValue::Parse(line);
+    return stats.ok() ? stats->Find("stats")->Find(name)->AsNumber() : -1.0;
+  };
+  for (int attempt = 0; attempt < 300 && (stat("latency_samples") < 1.0 ||
+                                          stat("request_errors") < 1.0);
+       ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(stat("deadline_exceeded"), 1.0);
+  EXPECT_EQ(stat("request_errors"), 1.0);
   server.Stop();
 }
 

@@ -245,7 +245,6 @@ TEST_F(TcpServerTest, WireScoresBitIdenticalUnderConcurrentClients) {
 
 TEST_F(TcpServerTest, StatsShowBatchingAndCacheHits) {
   ServiceOptions service_options;
-  service_options.batch_window_us = 2000;  // encourage coalescing
   auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
   MatcherService service(registry.get(), service_options);
   TcpServer server(&service);
@@ -436,7 +435,6 @@ TEST_F(TcpServerTest, RequestLargerThanQueueBoundIsShedWithRetryHint) {
 TEST_F(TcpServerTest, SaturationPastQueueBoundNeverHangsOrDropsSilently) {
   ServiceOptions service_options;
   service_options.max_queue_pairs = 16;
-  service_options.batch_window_us = 20000;  // keep the queue occupied
   auto registry = ModelRegistry::WrapExisting(matcher_, cached_model_).value();
   MatcherService service(registry.get(), service_options);
   TcpServer server(&service);
