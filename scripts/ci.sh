@@ -24,6 +24,12 @@ echo "== tier 1: build + full test suite =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# The same suite again as a flake catcher: every test is its own process,
+# so eight at once in a shuffled order, each repeated up to three times,
+# exposes tests that share fixed-name temp files or depend on run order.
+echo "== tier 1k: full test suite at -j8, random order, until-fail:3 =="
+ctest --test-dir build --output-on-failure -j 8 --schedule-random \
+  --repeat until-fail:3
 # The kernel parity suite again with dispatch forced to the scalar path:
 # together with the default run above, both tables are proven
 # bit-identical on this machine (the suite itself compares the other

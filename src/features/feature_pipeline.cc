@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "text/string_metrics.h"
 
 namespace leapme::features {
 
@@ -36,6 +37,7 @@ PropertyFeatures FeaturePipeline::ComputeProperty(
   PropertyFeatures features;
   features.name = std::string(name);
   features.vector.assign(property_dimension(), 0.0f);
+  features.name_grams = text::GramProfile(name, text::kQgramSize);
 
   const StageContext ctx = Context();
   std::span<float> property(features.vector);
@@ -61,6 +63,8 @@ void FeaturePipeline::ComputePair(const PropertyFeatures& a,
   LEAPME_CHECK_EQ(b.vector.size(), property_dimension());
 
   const StageContext ctx = Context();
+  const PreparedName a_name = a.prepared_name();
+  const PreparedName b_name = b.prepared_name();
   std::span<const float> a_vec(a.vector);
   std::span<const float> b_vec(b.vector);
   const auto& spans = schema_.stages();
@@ -68,7 +72,7 @@ void FeaturePipeline::ComputePair(const PropertyFeatures& a,
     const StageSpan& span = spans[s];
     const uint64_t start = NowNs();
     span.stage->ComputePair(
-        ctx, a.name, b.name,
+        ctx, a_name, b_name,
         a_vec.subspan(span.property_begin, span.property_width()),
         b_vec.subspan(span.property_begin, span.property_width()),
         out.subspan(span.pair_begin, span.pair_width()));
@@ -87,6 +91,17 @@ nn::Matrix FeaturePipeline::BuildDesignMatrix(
   nn::Matrix design(lhs.size(), out_dim);
   const StageContext ctx = Context();
   const auto& spans = schema_.stages();
+  // A stage runs only when one of its pair slots is gathered: the slots of
+  // the others would be computed and dropped.
+  std::vector<bool> selected(spans.size(), columns.empty());
+  for (size_t column : columns) {
+    LEAPME_CHECK_LT(column, full_dim);
+    for (size_t s = 0; s < spans.size(); ++s) {
+      if (column >= spans[s].pair_begin && column < spans[s].pair_end) {
+        selected[s] = true;
+      }
+    }
+  }
   // Each row is a pure function of its own pair; the chunks share nothing
   // but the scratch buffer, which is per-chunk. The stage loop is outer
   // within a chunk so each stage is timed once per chunk, not per row —
@@ -99,6 +114,7 @@ nn::Matrix FeaturePipeline::BuildDesignMatrix(
         const size_t rows = row_end - row_begin;
         std::vector<float> full(rows * full_dim, 0.0f);
         for (size_t s = 0; s < spans.size(); ++s) {
+          if (!selected[s]) continue;
           const StageSpan& span = spans[s];
           const uint64_t start = NowNs();
           for (size_t i = 0; i < rows; ++i) {
@@ -106,7 +122,7 @@ nn::Matrix FeaturePipeline::BuildDesignMatrix(
             const PropertyFeatures& b = *rhs[row_begin + i];
             std::span<float> row(full.data() + i * full_dim, full_dim);
             span.stage->ComputePair(
-                ctx, a.name, b.name,
+                ctx, a.prepared_name(), b.prepared_name(),
                 std::span<const float>(a.vector)
                     .subspan(span.property_begin, span.property_width()),
                 std::span<const float>(b.vector)

@@ -11,16 +11,24 @@
 #include "features/feature_registry.h"
 #include "features/feature_schema.h"
 #include "nn/matrix.h"
+#include "text/ngram.h"
 
 namespace leapme::features {
 
 /// Precomputed per-property state: the property feature vector (Table I
-/// ids 5-6) plus the raw name for string distances.
+/// ids 5-6) plus the raw name and its 3-gram profile for the string
+/// distances.
 struct PropertyFeatures {
   std::string name;
   /// Layout: [29 meta means][d value-embedding mean][d name embedding];
   /// size = 29 + 2d.
   embedding::Vector vector;
+  /// 3-gram profile of `name`: a side-car of the string-distance stage,
+  /// not feature slots, so it leaves the schema untouched. About 4 bytes
+  /// per name byte.
+  text::GramProfile name_grams;
+
+  PreparedName prepared_name() const { return {name, name_grams}; }
 };
 
 /// Cumulative per-stage instrumentation snapshot (see
@@ -64,10 +72,11 @@ class FeaturePipeline {
 
   /// Convenience: builds the design matrix for a list of pairs, gathering
   /// only `columns` (from FeatureSchema::SelectedColumns or StageColumns).
-  /// Empty `columns` keeps all features. Rows are filled in parallel on
-  /// the global thread pool (each row depends only on its own pair, so
-  /// results are bit-identical at any thread count); `max_threads` caps
-  /// the fan-out for this call (0 = pool width).
+  /// Empty `columns` keeps all features. A stage none of whose pair slots
+  /// is selected is not run (nor counted in StageTimings). Rows are filled
+  /// in parallel on the global thread pool (each row depends only on its
+  /// own pair, so results are bit-identical at any thread count);
+  /// `max_threads` caps the fan-out for this call (0 = pool width).
   nn::Matrix BuildDesignMatrix(
       const std::vector<const PropertyFeatures*>& lhs,
       const std::vector<const PropertyFeatures*>& rhs,

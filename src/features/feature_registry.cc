@@ -73,8 +73,9 @@ class InstanceAveragedStage : public FeatureStage {
     kernel.scale(1.0f / static_cast<float>(used), out.data(), out.size());
   }
 
-  void ComputePair(const StageContext& ctx, std::string_view /*a_name*/,
-                   std::string_view /*b_name*/, std::span<const float> a_block,
+  void ComputePair(const StageContext& ctx, const PreparedName& /*a_name*/,
+                   const PreparedName& /*b_name*/,
+                   std::span<const float> a_block,
                    std::span<const float> b_block,
                    std::span<float> out) const final {
     DiffBlock(ctx, a_block, b_block, out);
@@ -218,8 +219,8 @@ class NameEmbeddingStage final : public FeatureStage {
     std::copy(pooled.begin(), pooled.end(), out.begin());
   }
 
-  void ComputePair(const StageContext& ctx, std::string_view, std::string_view,
-                   std::span<const float> a_block,
+  void ComputePair(const StageContext& ctx, const PreparedName&,
+                   const PreparedName&, std::span<const float> a_block,
                    std::span<const float> b_block,
                    std::span<float> out) const override {
     DiffBlock(ctx, a_block, b_block, out);
@@ -227,7 +228,9 @@ class NameEmbeddingStage final : public FeatureStage {
 };
 
 /// Table I ids 8-15: the 8 string distances between the property names.
-/// Pair-only — it owns no property slots.
+/// Pair-only — it owns no property slots. The edit distances run on the
+/// name bytes (bit-parallel for names up to 64 bytes); the three q-gram
+/// distances merge the names' prepared 3-gram profiles.
 class StringDistancesStage final : public FeatureStage {
  public:
   std::string_view name() const override { return "string_distances"; }
@@ -253,10 +256,12 @@ class StringDistancesStage final : public FeatureStage {
     LEAPME_CHECK_EQ(out.size(), 0u);
   }
 
-  void ComputePair(const StageContext& ctx, std::string_view n1,
-                   std::string_view n2, std::span<const float>,
+  void ComputePair(const StageContext& ctx, const PreparedName& a,
+                   const PreparedName& b, std::span<const float>,
                    std::span<const float>, std::span<float> out) const
       override {
+    const std::string_view n1 = a.text;
+    const std::string_view n2 = b.text;
     size_t offset = 0;
     if (ctx.options->normalize_string_distances) {
       out[offset++] = static_cast<float>(text::NormalizedByMaxLength(
@@ -267,21 +272,25 @@ class StringDistancesStage final : public FeatureStage {
           text::DamerauLevenshtein(n1, n2), n1, n2));
       out[offset++] = static_cast<float>(text::NormalizedByMaxLength(
           text::LcsDistance(n1, n2), n1, n2));
-      // The q-gram count distance is normalized by the total gram count.
-      double total_grams =
+      // The q-gram count distance is normalized by the summed name
+      // lengths in bytes, |n1| + |n2| (at least 1), not by a gram count.
+      double total_bytes =
           std::max<double>(1.0, static_cast<double>(n1.size() + n2.size()));
-      out[offset++] =
-          static_cast<float>(text::ThreeGramDistance(n1, n2) / total_grams);
+      out[offset++] = static_cast<float>(
+          text::QgramDistance(a.grams, b.grams) / total_bytes);
     } else {
       out[offset++] =
           static_cast<float>(text::OptimalStringAlignment(n1, n2));
       out[offset++] = static_cast<float>(text::Levenshtein(n1, n2));
       out[offset++] = static_cast<float>(text::DamerauLevenshtein(n1, n2));
       out[offset++] = static_cast<float>(text::LcsDistance(n1, n2));
-      out[offset++] = static_cast<float>(text::ThreeGramDistance(n1, n2));
+      out[offset++] =
+          static_cast<float>(text::QgramDistance(a.grams, b.grams));
     }
-    out[offset++] = static_cast<float>(text::ThreeGramCosineDistance(n1, n2));
-    out[offset++] = static_cast<float>(text::ThreeGramJaccardDistance(n1, n2));
+    out[offset++] =
+        static_cast<float>(text::CosineDistance(a.grams, b.grams));
+    out[offset++] =
+        static_cast<float>(text::JaccardDistance(a.grams, b.grams));
     out[offset++] = static_cast<float>(text::JaroWinklerDistance(n1, n2));
     LEAPME_CHECK_EQ(offset, out.size());
   }

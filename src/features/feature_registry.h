@@ -9,6 +9,7 @@
 
 #include "embedding/embedding_model.h"
 #include "features/feature_schema.h"
+#include "text/ngram.h"
 
 namespace leapme::features {
 
@@ -18,6 +19,15 @@ namespace leapme::features {
 struct StageContext {
   const embedding::EmbeddingModel* model = nullptr;
   const PairFeatureOptions* options = nullptr;
+};
+
+/// A property name as the pair stages see it: its bytes plus its 3-gram
+/// profile. FeaturePipeline::ComputeProperty prepares the profile once per
+/// property (PropertyFeatures keeps it beside the feature vector), so no
+/// stage rebuilds it per pair.
+struct PreparedName {
+  std::string_view text;
+  const text::GramProfile& grams;
 };
 
 /// One named, versioned extractor stage of the feature pipeline.
@@ -69,9 +79,10 @@ class FeatureStage {
 
   /// Writes the stage's pair block. `a_block`/`b_block` are the two
   /// properties' blocks of this stage (empty for pair-only stages);
-  /// `a_name`/`b_name` are the surface names.
-  virtual void ComputePair(const StageContext& ctx, std::string_view a_name,
-                           std::string_view b_name,
+  /// `a_name`/`b_name` are the prepared surface names.
+  virtual void ComputePair(const StageContext& ctx,
+                           const PreparedName& a_name,
+                           const PreparedName& b_name,
                            std::span<const float> a_block,
                            std::span<const float> b_block,
                            std::span<float> out) const = 0;

@@ -9,6 +9,16 @@ namespace leapme::text {
 /// String distances of Table I (ids 8-15). Semantics follow the R
 /// `stringdist` package used by the paper's implementation; q-gram based
 /// distances use gram size 3 by default ("3-gram distance" in the paper).
+///
+/// Each metric has one implementation, chosen by input length: when the
+/// shorter string has at most 64 bytes, Levenshtein and OSA run Hyyrö's
+/// bit-vector algorithm and the LCS the Allison-Dix bit-vector
+/// recurrence; when both have at most 64 bytes, Jaro matches over 64-bit
+/// masks. Longer inputs take the textbook DP or scan. Both paths return
+/// the same integers, so every result is the same either way.
+
+/// Gram size of the ThreeGram* distances.
+inline constexpr size_t kQgramSize = 3;
 
 /// Levenshtein edit distance (insert / delete / substitute), Table I id 9.
 size_t Levenshtein(std::string_view a, std::string_view b);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "data/tsv_io.h"
+#include "tests/temp_dir.h"
 
 namespace leapme::cli {
 namespace {
@@ -17,7 +18,7 @@ StatusOr<Flags> ParseArgs(std::vector<const char*> argv) {
 }
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::ProcessTempPath(name);
 }
 
 TEST(GenerateCommandTest, WritesReadableTsv) {

@@ -12,6 +12,7 @@
 #include "data/domain.h"
 #include "data/generator.h"
 #include "embedding/synthetic_model.h"
+#include "tests/temp_dir.h"
 
 namespace leapme::core {
 namespace {
@@ -40,7 +41,7 @@ class PersistenceTest : public ::testing::Test {
   }
 
   static std::string Path(const char* name) {
-    return ::testing::TempDir() + "/" + name;
+    return test::ProcessTempPath(name);
   }
 
   static data::Dataset* dataset_;

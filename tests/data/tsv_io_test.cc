@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/temp_dir.h"
+
 namespace leapme::data {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::ProcessTempPath(name);
 }
 
 void WriteFile(const std::string& path, const std::string& contents) {

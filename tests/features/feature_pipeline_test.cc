@@ -1,10 +1,15 @@
 #include "features/feature_pipeline.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "embedding/text_embedding_file.h"
+#include "text/string_metrics.h"
 
 namespace leapme::features {
 namespace {
@@ -199,6 +204,60 @@ TEST(FeaturePipelineTest, BuildDesignMatrixEmptyColumnsKeepsAll) {
   std::vector<const PropertyFeatures*> rhs{&a};
   nn::Matrix design = pipeline.BuildDesignMatrix(lhs, rhs, {});
   EXPECT_EQ(design.cols(), pipeline.pair_dimension());
+}
+
+// The string-distance slots, computed on the prepared names (bytes plus
+// 3-gram profiles), equal the public string_view metrics bit for bit, on
+// seeded random names of 0-130 bytes over all 256 byte values.
+TEST(FeaturePipelineTest, StringDistanceSlotsMatchPublicMetrics) {
+  embedding::TextEmbeddingFile model = MakeModel();
+  std::mt19937_64 engine(31);
+  auto random_name = [&] {
+    const size_t length = static_cast<size_t>(engine() % 131);
+    const unsigned alphabet = engine() % 2 == 0 ? 4 : 256;
+    std::string name;
+    for (size_t i = 0; i < length; ++i) {
+      name.push_back(static_cast<char>(engine() % alphabet));
+    }
+    return name;
+  };
+  for (bool normalize : {true, false}) {
+    PairFeatureOptions options;
+    options.normalize_string_distances = normalize;
+    FeaturePipeline pipeline(&model, options);
+    const size_t first = pipeline.pair_dimension() - 8;
+    std::vector<float> out(pipeline.pair_dimension());
+    for (int k = 0; k < 400; ++k) {
+      const std::string n1 = random_name();
+      const std::string n2 = random_name();
+      const PropertyFeatures a = pipeline.ComputeProperty(n1, {});
+      const PropertyFeatures b = pipeline.ComputeProperty(n2, {});
+      pipeline.ComputePair(a, b, out);
+
+      auto scaled = [&](size_t distance) {
+        return normalize ? text::NormalizedByMaxLength(distance, n1, n2)
+                         : static_cast<double>(distance);
+      };
+      const double bytes =
+          std::max<double>(1.0, static_cast<double>(n1.size() + n2.size()));
+      const float expected[8] = {
+          static_cast<float>(scaled(text::OptimalStringAlignment(n1, n2))),
+          static_cast<float>(scaled(text::Levenshtein(n1, n2))),
+          static_cast<float>(scaled(text::DamerauLevenshtein(n1, n2))),
+          static_cast<float>(scaled(text::LcsDistance(n1, n2))),
+          static_cast<float>(normalize ? text::ThreeGramDistance(n1, n2) / bytes
+                                       : text::ThreeGramDistance(n1, n2)),
+          static_cast<float>(text::ThreeGramCosineDistance(n1, n2)),
+          static_cast<float>(text::ThreeGramJaccardDistance(n1, n2)),
+          static_cast<float>(text::JaroWinklerDistance(n1, n2))};
+      for (size_t slot = 0; slot < 8; ++slot) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(out[first + slot]),
+                  std::bit_cast<uint32_t>(expected[slot]))
+            << "slot " << slot << " |n1|=" << n1.size()
+            << " |n2|=" << n2.size() << " normalize=" << normalize;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // golden byte-parity guarantee of the registry-based pipeline against the
 // pre-registry monolithic implementation.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -271,6 +272,50 @@ TEST_F(GoldenParityTest, StageTimingsCountEveryCall) {
       EXPECT_EQ(timing.property_calls, 0u);
     } else {
       EXPECT_EQ(timing.property_calls, kProperties) << timing.name;
+    }
+  }
+}
+
+TEST_F(GoldenParityTest, UnselectedStagesAreSkipped) {
+  FeaturePipeline full_pipeline(model_, {});
+  FeaturePipeline pipeline(model_, {});
+  std::vector<PropertyFeatures> properties;
+  std::vector<std::string> values;
+  for (data::PropertyId id = 0; id < dataset_->property_count(); ++id) {
+    values.clear();
+    for (const auto& instance : dataset_->instances(id)) {
+      values.push_back(instance.value);
+    }
+    properties.push_back(
+        pipeline.ComputeProperty(dataset_->property(id).name, values));
+  }
+  std::vector<const PropertyFeatures*> lhs;
+  std::vector<const PropertyFeatures*> rhs;
+  for (const auto& pair : dataset_->AllCrossSourcePairs()) {
+    lhs.push_back(&properties[pair.a]);
+    rhs.push_back(&properties[pair.b]);
+  }
+  const std::vector<size_t> columns = pipeline.schema().SelectedColumns(
+      {OriginSelection::kInstancesOnly, KindSelection::kBoth});
+  ASSERT_FALSE(columns.empty());
+
+  const nn::Matrix selected = pipeline.BuildDesignMatrix(lhs, rhs, columns);
+  const nn::Matrix full = full_pipeline.BuildDesignMatrix(lhs, rhs, {});
+  ASSERT_EQ(selected.rows(), full.rows());
+  ASSERT_EQ(selected.cols(), columns.size());
+  for (size_t r = 0; r < full.rows(); ++r) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(selected.row(r)[c]),
+                std::bit_cast<uint32_t>(full.row(r)[columns[c]]))
+          << "row " << r << " column " << columns[c];
+    }
+  }
+  for (const StageTiming& timing : pipeline.StageTimings()) {
+    if (timing.name == "string_distances" ||
+        timing.name == "name_embedding") {
+      EXPECT_EQ(timing.pair_calls, 0u) << timing.name;
+    } else {
+      EXPECT_EQ(timing.pair_calls, lhs.size()) << timing.name;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "eval/experiment.h"
 #include "eval/leapme_adapter.h"
 #include "graph/similarity_graph.h"
+#include "tests/temp_dir.h"
 
 namespace leapme {
 namespace {
@@ -107,7 +108,7 @@ TEST_F(EndToEndTest, SimilarityGraphClusteringRecoversReferences) {
 }
 
 TEST_F(EndToEndTest, TsvRoundTripPreservesEvaluationResult) {
-  std::string path = ::testing::TempDir() + "/e2e_dataset.tsv";
+  std::string path = test::ProcessTempPath("e2e_dataset.tsv");
   ASSERT_TRUE(data::WriteDatasetTsv(built_->dataset, path).ok());
   auto loaded = data::ReadDatasetTsv(path, built_->dataset.name());
   ASSERT_TRUE(loaded.ok());

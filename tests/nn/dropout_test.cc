@@ -5,6 +5,7 @@
 #include "nn/activation.h"
 #include "nn/mlp.h"
 #include "nn/trainer.h"
+#include "tests/temp_dir.h"
 
 namespace leapme::nn {
 namespace {
@@ -108,7 +109,7 @@ TEST(DropoutTest, PredictIsDeterministicDespiteDropout) {
 TEST(DropoutTest, SerializationRoundTrip) {
   Rng rng(14);
   Mlp mlp = BuildMlp(3, {4}, 2, rng, /*dropout_rate=*/0.25);
-  std::string path = ::testing::TempDir() + "/dropout_mlp.txt";
+  std::string path = test::ProcessTempPath("dropout_mlp.txt");
   ASSERT_TRUE(SaveMlp(mlp, path).ok());
   auto loaded = LoadMlp(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "tests/temp_dir.h"
 
 namespace leapme::nn {
 namespace {
@@ -98,7 +99,7 @@ TEST(MlpSerializationTest, SaveLoadRoundTrip) {
   Matrix before;
   mlp.Predict(input, &before);
 
-  std::string path = ::testing::TempDir() + "/mlp_roundtrip.txt";
+  std::string path = test::ProcessTempPath("mlp_roundtrip.txt");
   ASSERT_TRUE(SaveMlp(mlp, path).ok());
   auto loaded = LoadMlp(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -116,7 +117,7 @@ TEST(MlpSerializationTest, LoadMissingFileFails) {
 }
 
 TEST(MlpSerializationTest, LoadRejectsBadHeader) {
-  std::string path = ::testing::TempDir() + "/bad_header.txt";
+  std::string path = test::ProcessTempPath("bad_header.txt");
   {
     std::ofstream out(path);
     out << "not-a-model 1\n";
@@ -127,7 +128,7 @@ TEST(MlpSerializationTest, LoadRejectsBadHeader) {
 }
 
 TEST(MlpSerializationTest, LoadRejectsTruncatedModel) {
-  std::string path = ::testing::TempDir() + "/truncated.txt";
+  std::string path = test::ProcessTempPath("truncated.txt");
   {
     std::ofstream out(path);
     out << "leapme-mlp 1\n1\ndense\n2 2\n1 2 3\n";  // missing values
@@ -136,7 +137,7 @@ TEST(MlpSerializationTest, LoadRejectsTruncatedModel) {
 }
 
 TEST(MlpSerializationTest, LoadRejectsUnknownLayerType) {
-  std::string path = ::testing::TempDir() + "/unknown_layer.txt";
+  std::string path = test::ProcessTempPath("unknown_layer.txt");
   {
     std::ofstream out(path);
     out << "leapme-mlp 1\n1\nconv2d\n";

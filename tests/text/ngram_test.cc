@@ -6,7 +6,7 @@ namespace leapme::text {
 namespace {
 
 TEST(NgramProfileTest, CountsTrigrams) {
-  NgramProfile profile("abcab", 3);
+  GramProfile profile("abcab", 3);
   // Grams: abc, bca, cab.
   EXPECT_EQ(profile.total(), 3u);
   EXPECT_EQ(profile.distinct(), 3u);
@@ -17,85 +17,85 @@ TEST(NgramProfileTest, CountsTrigrams) {
 }
 
 TEST(NgramProfileTest, Multiplicities) {
-  NgramProfile profile("aaaa", 2);
+  GramProfile profile("aaaa", 2);
   EXPECT_EQ(profile.total(), 3u);
   EXPECT_EQ(profile.distinct(), 1u);
   EXPECT_EQ(profile.count("aa"), 3u);
 }
 
 TEST(NgramProfileTest, ShortStringHasNoGrams) {
-  NgramProfile profile("ab", 3);
+  GramProfile profile("ab", 3);
   EXPECT_EQ(profile.total(), 0u);
   EXPECT_EQ(profile.distinct(), 0u);
 }
 
 TEST(NgramProfileTest, GramSizeOne) {
-  NgramProfile profile("aba", 1);
+  GramProfile profile("aba", 1);
   EXPECT_EQ(profile.total(), 3u);
   EXPECT_EQ(profile.count("a"), 2u);
   EXPECT_EQ(profile.count("b"), 1u);
 }
 
 TEST(QgramDistanceTest, IdenticalStringsZero) {
-  NgramProfile a("resolution", 3);
+  GramProfile a("resolution", 3);
   EXPECT_DOUBLE_EQ(QgramDistance(a, a), 0.0);
 }
 
 TEST(QgramDistanceTest, DisjointStringsSumOfTotals) {
-  NgramProfile a("abcd", 3);  // abc, bcd
-  NgramProfile b("wxyz", 3);  // wxy, xyz
+  GramProfile a("abcd", 3);  // abc, bcd
+  GramProfile b("wxyz", 3);  // wxy, xyz
   EXPECT_DOUBLE_EQ(QgramDistance(a, b), 4.0);
 }
 
 TEST(QgramDistanceTest, Symmetric) {
-  NgramProfile a("screen size", 3);
-  NgramProfile b("screen resolution", 3);
+  GramProfile a("screen size", 3);
+  GramProfile b("screen resolution", 3);
   EXPECT_DOUBLE_EQ(QgramDistance(a, b), QgramDistance(b, a));
 }
 
 TEST(CosineDistanceTest, IdenticalZeroDisjointOne) {
-  NgramProfile a("display", 3);
-  NgramProfile b("display", 3);
-  NgramProfile c("qwzxrv", 3);
+  GramProfile a("display", 3);
+  GramProfile b("display", 3);
+  GramProfile c("qwzxrv", 3);
   EXPECT_NEAR(CosineDistance(a, b), 0.0, 1e-9);
   EXPECT_NEAR(CosineDistance(a, c), 1.0, 1e-9);
 }
 
 TEST(CosineDistanceTest, EmptyProfiles) {
-  NgramProfile empty("", 3);
-  NgramProfile non_empty("abcdef", 3);
+  GramProfile empty("", 3);
+  GramProfile non_empty("abcdef", 3);
   EXPECT_DOUBLE_EQ(CosineDistance(empty, empty), 0.0);
   EXPECT_DOUBLE_EQ(CosineDistance(empty, non_empty), 1.0);
   EXPECT_DOUBLE_EQ(CosineDistance(non_empty, empty), 1.0);
 }
 
 TEST(CosineDistanceTest, WithinUnitInterval) {
-  NgramProfile a("optical zoom", 3);
-  NgramProfile b("digital zoom", 3);
+  GramProfile a("optical zoom", 3);
+  GramProfile b("digital zoom", 3);
   double d = CosineDistance(a, b);
   EXPECT_GT(d, 0.0);
   EXPECT_LT(d, 1.0);
 }
 
 TEST(JaccardDistanceTest, IdenticalZeroDisjointOne) {
-  NgramProfile a("weight", 3);
-  NgramProfile b("weight", 3);
-  NgramProfile c("qqqqqq", 3);
+  GramProfile a("weight", 3);
+  GramProfile b("weight", 3);
+  GramProfile c("qqqqqq", 3);
   EXPECT_DOUBLE_EQ(JaccardDistance(a, b), 0.0);
   EXPECT_DOUBLE_EQ(JaccardDistance(a, c), 1.0);
 }
 
 TEST(JaccardDistanceTest, EmptyProfiles) {
-  NgramProfile empty("ab", 3);
-  NgramProfile non_empty("abcdef", 3);
+  GramProfile empty("ab", 3);
+  GramProfile non_empty("abcdef", 3);
   EXPECT_DOUBLE_EQ(JaccardDistance(empty, empty), 0.0);
   EXPECT_DOUBLE_EQ(JaccardDistance(empty, non_empty), 1.0);
 }
 
 TEST(JaccardDistanceTest, KnownValue) {
   // "abcd" -> {abc, bcd}; "abce" -> {abc, bce}; intersection 1, union 3.
-  NgramProfile a("abcd", 3);
-  NgramProfile b("abce", 3);
+  GramProfile a("abcd", 3);
+  GramProfile b("abce", 3);
   EXPECT_NEAR(JaccardDistance(a, b), 1.0 - 1.0 / 3.0, 1e-9);
 }
 
