@@ -197,7 +197,7 @@ void BM_MlpTrainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainBatch)->Arg(133)->Arg(637);
 
-void BM_MlpPredictBatch(benchmark::State& state) {
+void BM_MlpInferBatch(benchmark::State& state) {
   const auto input_dim = static_cast<size_t>(state.range(0));
   Rng rng(3);
   nn::Mlp mlp = nn::BuildMlp(input_dim, {128, 64}, 2, rng);
@@ -207,12 +207,12 @@ void BM_MlpPredictBatch(benchmark::State& state) {
   }
   nn::Matrix probabilities;
   for (auto _ : state) {
-    mlp.Predict(batch, &probabilities);
+    mlp.Infer(batch, &probabilities);
     benchmark::DoNotOptimize(probabilities.data());
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_MlpPredictBatch)->Arg(133)->Arg(637);
+BENCHMARK(BM_MlpInferBatch)->Arg(133)->Arg(637);
 
 void BM_MinhashSignature(benchmark::State& state) {
   // 64 hash functions over a 100-token set, the LSH baseline's kernel.

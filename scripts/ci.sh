@@ -37,6 +37,10 @@ ctest --test-dir build --output-on-failure -j 8 --schedule-random \
 echo "== tier 1b: kernel parity with LEAPME_KERNEL=scalar =="
 LEAPME_KERNEL=scalar ctest --test-dir build --output-on-failure \
   -j "$JOBS" -L kernels
+# The golden hash of trained losses, threshold and scores must not depend
+# on the kernel table either.
+LEAPME_KERNEL=scalar ctest --test-dir build --output-on-failure \
+  -R 'DeterminismTest.TrainedBitsMatchGolden'
 
 # The blocking suite again at pinned thread counts: candidate generation
 # promises identical (sorted, deduplicated) pair lists at any pool

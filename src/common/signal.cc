@@ -69,11 +69,6 @@ bool ShutdownRequested() {
   return g_shutdown_requested.load(std::memory_order_relaxed);
 }
 
-void RequestShutdown() {
-  InstallOnce();
-  OnShutdownSignal(SIGTERM);
-}
-
 void InstallReloadSignalHandler() {
   InstallOnce();
   static std::once_flag once;
@@ -88,11 +83,6 @@ void InstallReloadSignalHandler() {
 
 bool ConsumeReloadRequest() {
   return g_reload_requested.exchange(false, std::memory_order_relaxed);
-}
-
-void RequestReload() {
-  InstallOnce();
-  OnReloadSignal(SIGHUP);
 }
 
 }  // namespace leapme

@@ -14,26 +14,19 @@ namespace leapme {
 /// -1 if the pipe cannot be created.
 int ShutdownSignalFd();
 
-/// True once SIGINT or SIGTERM has been received (or RequestShutdown was
-/// called). Safe to call from any thread.
+/// True once SIGINT or SIGTERM has been received. Safe to call from any
+/// thread.
 bool ShutdownRequested();
-
-/// Programmatic trigger with the same effect as receiving SIGTERM —
-/// used by tests and by in-process embedders to stop a serving loop.
-void RequestShutdown();
 
 /// Installs the SIGHUP handler (first call only): marks a model reload
 /// as requested and wakes the shared self-pipe, so a serving loop parked
 /// on ShutdownSignalFd() notices without polling. Call before serving.
 void InstallReloadSignalHandler();
 
-/// True exactly once per reload request (SIGHUP or RequestReload) since
-/// the last call — the flag is consumed, so coalesced signals trigger
-/// one reload. Safe to call from any thread.
+/// True exactly once per SIGHUP since the last call — the flag is
+/// consumed, so coalesced signals trigger one reload. Safe to call from
+/// any thread.
 bool ConsumeReloadRequest();
-
-/// Programmatic trigger with the same effect as receiving SIGHUP.
-void RequestReload();
 
 }  // namespace leapme
 

@@ -107,7 +107,7 @@ Status LeapmeMatcher::Fit(
   // Step 5: train the classifier.
   Rng init_rng(options_.seed);
   mlp_ = nn::BuildMlp(columns_.size(), options_.hidden_sizes,
-                      /*num_classes=*/2, init_rng, options_.dropout_rate);
+                      /*num_classes=*/2, init_rng);
   nn::Trainer trainer(options_.trainer);
 
   // Optional threshold calibration: hold out the tail of the (already
@@ -138,7 +138,7 @@ Status LeapmeMatcher::Fit(
   std::vector<int32_t> holdout_labels(labels.begin() + train_rows,
                                       labels.end());
   nn::Matrix probabilities;
-  mlp_.Predict(holdout_design, &probabilities);
+  mlp_.Infer(holdout_design, &probabilities);
   std::vector<double> holdout_scores(probabilities.rows());
   for (size_t i = 0; i < probabilities.rows(); ++i) {
     holdout_scores[i] = probabilities(i, 1);
@@ -279,15 +279,6 @@ StatusOr<BlockedScores> LeapmeMatcher::ScoreCandidates(
   BlockedScores result;
   LEAPME_ASSIGN_OR_RETURN(result.candidates, pipeline.Candidates(dataset));
   LEAPME_ASSIGN_OR_RETURN(result.scores, ScorePairs(result.candidates));
-  return result;
-}
-
-StatusOr<BlockedScores> LeapmeMatcher::ScoreCandidatesOn(
-    const data::Dataset& dataset, blocking::CandidatePipeline& pipeline) {
-  BlockedScores result;
-  LEAPME_ASSIGN_OR_RETURN(result.candidates, pipeline.Candidates(dataset));
-  LEAPME_ASSIGN_OR_RETURN(result.scores,
-                          ScorePairsOn(dataset, result.candidates));
   return result;
 }
 

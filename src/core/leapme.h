@@ -33,8 +33,6 @@ struct LeapmeOptions {
   std::vector<std::string> feature_stages;
   nn::TrainerOptions trainer;
   std::vector<size_t> hidden_sizes = {128, 64};
-  /// Dropout rate after each hidden ReLU (0 = the paper's configuration).
-  double dropout_rate = 0.0;
   double decision_threshold = 0.5;
   /// Calibrate the decision threshold after training: hold out
   /// `calibration_fraction` of the training pairs, train on the rest, and
@@ -114,12 +112,6 @@ class LeapmeMatcher {
   /// ScorePairs over that list — blocking never changes a score, only
   /// which pairs get one.
   StatusOr<BlockedScores> ScoreCandidates(
-      const data::Dataset& dataset, blocking::CandidatePipeline& pipeline);
-
-  /// The two-step pipeline over a foreign dataset (ScorePairsOn
-  /// semantics: features computed on the fly, fitted scaler reused).
-  /// This is the saved-model / transfer path.
-  StatusOr<BlockedScores> ScoreCandidatesOn(
       const data::Dataset& dataset, blocking::CandidatePipeline& pipeline);
 
   /// Transfer matching: scores pairs of a *different* dataset with the

@@ -103,14 +103,14 @@ StatusOr<std::vector<FeatureGroupImportance>> PermutationImportance(
 
   auto score = [&](const nn::Matrix& design) {
     nn::Matrix probabilities;
-    // Predict in batches to bound the transient softmax matrix.
+    // Infer in batches to bound the transient softmax matrix.
     std::vector<double> scores;
     scores.reserve(design.rows());
     constexpr size_t kBatch = 8192;
     for (size_t start = 0; start < design.rows(); start += kBatch) {
       size_t end = std::min(start + kBatch, design.rows());
       nn::Matrix chunk = design.RowSlice(start, end);
-      mlp.Predict(chunk, &probabilities);
+      mlp.Infer(chunk, &probabilities);
       for (size_t i = 0; i < probabilities.rows(); ++i) {
         scores.push_back(probabilities(i, 1));
       }

@@ -1,8 +1,5 @@
 #include "nn/activation.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace leapme::nn {
@@ -32,75 +29,10 @@ void ReluLayer::ForwardInference(const Matrix& input, Matrix* output) const {
 void ReluLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
   LEAPME_CHECK_EQ(grad_output.rows(), mask_.rows());
   LEAPME_CHECK_EQ(grad_output.cols(), mask_.cols());
+  if (grad_input == nullptr) return;
   grad_input->Resize(grad_output.rows(), grad_output.cols());
   for (size_t i = 0; i < grad_output.size(); ++i) {
     grad_input->data()[i] = grad_output.data()[i] * mask_.data()[i];
-  }
-}
-
-DropoutLayer::DropoutLayer(double rate, uint64_t seed)
-    : rate_(rate), rng_(seed) {
-  LEAPME_CHECK_GE(rate, 0.0);
-  LEAPME_CHECK_LT(rate, 1.0);
-}
-
-void DropoutLayer::Forward(const Matrix& input, Matrix* output) {
-  output->Resize(input.rows(), input.cols());
-  if (!training_ || rate_ == 0.0) {
-    std::copy(input.data(), input.data() + input.size(), output->data());
-    return;
-  }
-  mask_.Resize(input.rows(), input.cols());
-  const auto keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (rng_.NextDouble() >= rate_) {
-      mask_.data()[i] = keep_scale;
-      output->data()[i] = input.data()[i] * keep_scale;
-    }
-  }
-}
-
-void DropoutLayer::ForwardInference(const Matrix& input,
-                                    Matrix* output) const {
-  output->Resize(input.rows(), input.cols());
-  std::copy(input.data(), input.data() + input.size(), output->data());
-}
-
-void DropoutLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
-  grad_input->Resize(grad_output.rows(), grad_output.cols());
-  if (!training_ || rate_ == 0.0) {
-    std::copy(grad_output.data(), grad_output.data() + grad_output.size(),
-              grad_input->data());
-    return;
-  }
-  LEAPME_CHECK_EQ(grad_output.size(), mask_.size());
-  for (size_t i = 0; i < grad_output.size(); ++i) {
-    grad_input->data()[i] = grad_output.data()[i] * mask_.data()[i];
-  }
-}
-
-void TanhLayer::Forward(const Matrix& input, Matrix* output) {
-  output->Resize(input.rows(), input.cols());
-  for (size_t i = 0; i < input.size(); ++i) {
-    output->data()[i] = std::tanh(input.data()[i]);
-  }
-  last_output_ = *output;
-}
-
-void TanhLayer::ForwardInference(const Matrix& input, Matrix* output) const {
-  output->Resize(input.rows(), input.cols());
-  for (size_t i = 0; i < input.size(); ++i) {
-    output->data()[i] = std::tanh(input.data()[i]);
-  }
-}
-
-void TanhLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
-  LEAPME_CHECK_EQ(grad_output.rows(), last_output_.rows());
-  LEAPME_CHECK_EQ(grad_output.cols(), last_output_.cols());
-  grad_input->Resize(grad_output.rows(), grad_output.cols());
-  for (size_t i = 0; i < grad_output.size(); ++i) {
-    float y = last_output_.data()[i];
-    grad_input->data()[i] = grad_output.data()[i] * (1.0f - y * y);
   }
 }
 

@@ -1,10 +1,8 @@
 #ifndef LEAPME_NN_ACTIVATION_H_
 #define LEAPME_NN_ACTIVATION_H_
 
-#include <cstdint>
 #include <string>
 
-#include "common/rng.h"
 #include "nn/layer.h"
 
 namespace leapme::nn {
@@ -20,45 +18,6 @@ class ReluLayer final : public Layer {
 
  private:
   Matrix mask_;  // 1 where input > 0, cached for Backward
-};
-
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `rate` and survivors are scaled by 1/(1-rate); at inference
-/// the layer is the identity. Provided as a regularization ablation — the
-/// paper's network trains without dropout.
-class DropoutLayer final : public Layer {
- public:
-  /// `rate` in [0, 1); seeds an internal generator for the masks.
-  explicit DropoutLayer(double rate, uint64_t seed = 11);
-
-  void Forward(const Matrix& input, Matrix* output) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
-  void ForwardInference(const Matrix& input, Matrix* output) const override;
-  std::string TypeName() const override { return "dropout"; }
-  size_t OutputDim(size_t input_dim) const override { return input_dim; }
-  void SetTraining(bool training) override { training_ = training; }
-
-  double rate() const { return rate_; }
-
- private:
-  double rate_;
-  bool training_ = true;
-  Rng rng_;
-  Matrix mask_;
-};
-
-/// Hyperbolic tangent activation (provided for ablations; the paper's
-/// network uses ReLU-style hidden layers).
-class TanhLayer final : public Layer {
- public:
-  void Forward(const Matrix& input, Matrix* output) override;
-  void Backward(const Matrix& grad_output, Matrix* grad_input) override;
-  void ForwardInference(const Matrix& input, Matrix* output) const override;
-  std::string TypeName() const override { return "tanh"; }
-  size_t OutputDim(size_t input_dim) const override { return input_dim; }
-
- private:
-  Matrix last_output_;
 };
 
 }  // namespace leapme::nn

@@ -49,7 +49,9 @@ void DenseLayer::Backward(const Matrix& grad_output, Matrix* grad_input) {
   ColumnSums(grad_output, &bias_grad);
   const size_t bias_width = bias_grad.size();
   grad_bias_ = Matrix(1, bias_width, std::move(bias_grad));
-  GemmTransposeB(grad_output, weights_, grad_input);
+  if (grad_input != nullptr) {
+    GemmTransposeB(grad_output, weights_, grad_input);
+  }
 }
 
 std::vector<Parameter> DenseLayer::Parameters() {

@@ -29,24 +29,21 @@ class Layer {
   virtual void Forward(const Matrix& input, Matrix* output) = 0;
 
   /// Given dLoss/dOutput, computes dLoss/dInput and accumulates parameter
-  /// gradients (overwriting them; gradients are per-batch).
+  /// gradients (overwriting them; gradients are per-batch). A null
+  /// `grad_input` means nobody reads dLoss/dInput (the first layer of a
+  /// network): only the parameter gradients are computed.
   virtual void Backward(const Matrix& grad_output, Matrix* grad_input) = 0;
 
-  /// Inference-mode forward pass that leaves the layer untouched: no
-  /// cached activations, no training-state dependence (dropout is the
-  /// identity). Because it is const and writes only `output`, concurrent
-  /// calls on one layer are safe — the parallel batched scorer shares one
-  /// trained network across pool threads through this path. Arithmetic is
-  /// identical to Forward in inference mode.
+  /// Forward pass that leaves the layer untouched: no cached activations.
+  /// Because it is const and writes only `output`, concurrent calls on one
+  /// layer are safe — the parallel batched scorer shares one trained
+  /// network across pool threads through this path. Arithmetic is
+  /// identical to Forward.
   virtual void ForwardInference(const Matrix& input,
                                 Matrix* output) const = 0;
 
   /// Trainable parameters (empty for activations).
   virtual std::vector<Parameter> Parameters() { return {}; }
-
-  /// Switches between training and inference behaviour (dropout noise on
-  /// or off). No-op for most layers.
-  virtual void SetTraining(bool training) { (void)training; }
 
   /// Layer type tag used by serialization ("dense", "relu", ...).
   virtual std::string TypeName() const = 0;

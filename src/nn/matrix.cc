@@ -108,14 +108,6 @@ void Matrix::ScaleInPlace(float s) {
   kernels::Active().scale(s, data_.data(), data_.size());
 }
 
-double Matrix::SquaredNorm() const {
-  double sum = 0.0;
-  for (float value : data_) {
-    sum += static_cast<double>(value) * static_cast<double>(value);
-  }
-  return sum;
-}
-
 std::string Matrix::ShapeString() const {
   return StrFormat("%zux%zu", rows_, cols_);
 }

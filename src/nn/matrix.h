@@ -71,9 +71,6 @@ class Matrix {
   /// this *= s.
   void ScaleInPlace(float s);
 
-  /// Frobenius-norm squared.
-  double SquaredNorm() const;
-
   /// Human-readable shape string "RxC".
   std::string ShapeString() const;
 

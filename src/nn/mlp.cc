@@ -19,10 +19,6 @@ void Mlp::AddLayer(std::unique_ptr<Layer> layer) {
 
 void Mlp::AddRelu() { layers_.push_back(std::make_unique<ReluLayer>()); }
 
-void Mlp::AddDropout(double rate, uint64_t seed) {
-  layers_.push_back(std::make_unique<DropoutLayer>(rate, seed));
-}
-
 void Mlp::Forward(const Matrix& input, Matrix* logits) {
   LEAPME_CHECK(!layers_.empty());
   activations_.resize(layers_.size());
@@ -32,15 +28,6 @@ void Mlp::Forward(const Matrix& input, Matrix* logits) {
     current = &activations_[i];
   }
   *logits = activations_.back();
-}
-
-void Mlp::Predict(const Matrix& input, Matrix* probabilities) {
-  for (auto& layer : layers_) {
-    layer->SetTraining(false);
-  }
-  Matrix logits;
-  Forward(input, &logits);
-  Softmax(logits, probabilities);
 }
 
 void Mlp::Infer(const Matrix& input, Matrix* probabilities) const {
@@ -56,30 +43,20 @@ void Mlp::Infer(const Matrix& input, Matrix* probabilities) const {
   Softmax(*current, probabilities);
 }
 
-double Mlp::EvaluateLoss(const Matrix& input,
-                         const std::vector<int32_t>& labels) {
-  for (auto& layer : layers_) {
-    layer->SetTraining(false);
-  }
-  Matrix logits;
-  Forward(input, &logits);
-  return loss_.Forward(logits, labels, &probabilities_);
-}
-
 double Mlp::TrainBatch(const Matrix& input,
                        const std::vector<int32_t>& labels,
-                       Optimizer& optimizer) {
-  for (auto& layer : layers_) {
-    layer->SetTraining(true);
-  }
+                       AdamOptimizer& optimizer) {
   Matrix logits;
   Forward(input, &logits);
   double loss = loss_.Forward(logits, labels, &probabilities_);
   loss_.Backward(probabilities_, labels, &grad_);
-  for (size_t i = layers_.size(); i-- > 0;) {
+  // The first layer's input gradient would be dLoss/dFeatures, which
+  // nothing reads: layer 0 computes its parameter gradients only.
+  for (size_t i = layers_.size(); i-- > 1;) {
     layers_[i]->Backward(grad_, &grad_scratch_);
     std::swap(grad_, grad_scratch_);
   }
+  layers_[0]->Backward(grad_, nullptr);
   optimizer.Step(Parameters());
   return loss;
 }
@@ -95,15 +72,12 @@ std::vector<Parameter> Mlp::Parameters() {
 }
 
 Mlp BuildMlp(size_t input_dim, const std::vector<size_t>& hidden_sizes,
-             size_t num_classes, Rng& rng, double dropout_rate) {
+             size_t num_classes, Rng& rng) {
   Mlp mlp;
   size_t current = input_dim;
   for (size_t hidden : hidden_sizes) {
     mlp.AddDense(current, hidden, rng);
     mlp.AddRelu();
-    if (dropout_rate > 0.0) {
-      mlp.AddDropout(dropout_rate, rng.Next());
-    }
     current = hidden;
   }
   mlp.AddDense(current, num_classes, rng);
@@ -123,9 +97,7 @@ Status SaveMlp(const Mlp& mlp, const std::string& path) {
   for (size_t i = 0; i < mlp.layer_count(); ++i) {
     const Layer& layer = mlp.layer(i);
     out << layer.TypeName() << "\n";
-    if (layer.TypeName() == "dropout") {
-      out << static_cast<const DropoutLayer&>(layer).rate() << "\n";
-    } else if (layer.TypeName() == "dense") {
+    if (layer.TypeName() == "dense") {
       const auto& dense = static_cast<const DenseLayer&>(layer);
       out << dense.input_dim() << " " << dense.output_dim() << "\n";
       const Matrix& w = dense.weights();
@@ -172,15 +144,6 @@ StatusOr<Mlp> LoadMlp(const std::string& path) {
     in >> type;
     if (type == "relu") {
       mlp.AddRelu();
-    } else if (type == "dropout") {
-      double rate = 0.0;
-      in >> rate;
-      if (!in || rate < 0.0 || rate >= 1.0) {
-        return Status::Corruption("bad dropout rate in " + path);
-      }
-      mlp.AddDropout(rate);
-    } else if (type == "tanh") {
-      mlp.AddLayer(std::make_unique<TanhLayer>());
     } else if (type == "dense") {
       size_t input_dim = 0;
       size_t output_dim = 0;

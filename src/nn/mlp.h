@@ -39,9 +39,6 @@ class Mlp {
   /// Appends a ReLU activation.
   void AddRelu();
 
-  /// Appends an inverted-dropout layer with the given drop rate.
-  void AddDropout(double rate, uint64_t seed = 11);
-
   size_t layer_count() const { return layers_.size(); }
   Layer& layer(size_t i) { return *layers_[i]; }
   const Layer& layer(size_t i) const { return *layers_[i]; }
@@ -49,24 +46,16 @@ class Mlp {
   /// Forward pass; returns the raw logits (batch x num_classes).
   void Forward(const Matrix& input, Matrix* logits);
 
-  /// Forward + softmax; returns class probabilities.
-  void Predict(const Matrix& input, Matrix* probabilities);
-
-  /// Forward + softmax in inference mode through the layers' const
-  /// ForwardInference path. Unlike Predict it touches no layer or scratch
-  /// state, so concurrent Infer calls on one trained network are safe —
-  /// this is what the parallel batched scorer uses. Arithmetic (and hence
-  /// output bits) matches Predict for dropout-free networks; with dropout
-  /// layers both run the identity at inference.
+  /// Forward + softmax through the layers' const ForwardInference path;
+  /// returns class probabilities. It touches no layer or scratch state, so
+  /// concurrent Infer calls on one trained network are safe — this is what
+  /// the parallel batched scorer uses. Arithmetic (and hence output bits)
+  /// matches Forward followed by Softmax.
   void Infer(const Matrix& input, Matrix* probabilities) const;
-
-  /// Mean loss on (inputs, labels) in inference mode, without updating
-  /// any parameters (used for validation-based early stopping).
-  double EvaluateLoss(const Matrix& input, const std::vector<int32_t>& labels);
 
   /// One optimization step on a mini-batch. Returns the batch loss.
   double TrainBatch(const Matrix& input, const std::vector<int32_t>& labels,
-                    Optimizer& optimizer);
+                    AdamOptimizer& optimizer);
 
   /// All trainable parameters across layers.
   std::vector<Parameter> Parameters();
@@ -82,11 +71,9 @@ class Mlp {
 };
 
 /// Builds the paper's architecture: input -> Dense(h1) -> ReLU ->
-/// Dense(h2) -> ReLU -> ... -> Dense(num_classes). When `dropout_rate`
-/// is positive, a dropout layer follows each ReLU (regularization
-/// ablation; the paper trains without dropout).
+/// Dense(h2) -> ReLU -> ... -> Dense(num_classes).
 Mlp BuildMlp(size_t input_dim, const std::vector<size_t>& hidden_sizes,
-             size_t num_classes, Rng& rng, double dropout_rate = 0.0);
+             size_t num_classes, Rng& rng);
 
 /// Serializes the network to a self-describing text file.
 Status SaveMlp(const Mlp& mlp, const std::string& path);

@@ -2,47 +2,22 @@
 
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace leapme::nn {
 
-void SgdOptimizer::Step(const std::vector<Parameter>& parameters) {
-  const auto lr = static_cast<float>(learning_rate_);
-  for (const Parameter& p : parameters) {
-    float* value = p.value->data();
-    const float* grad = p.gradient->data();
-    for (size_t i = 0; i < p.value->size(); ++i) {
-      value[i] -= lr * grad[i];
-    }
-  }
-}
-
-void MomentumOptimizer::Step(const std::vector<Parameter>& parameters) {
-  const auto lr = static_cast<float>(learning_rate_);
-  const auto mu = static_cast<float>(momentum_);
-  for (const Parameter& p : parameters) {
-    Matrix& v = velocity_[p.value];
-    if (v.size() != p.value->size()) {
-      v.Resize(p.value->rows(), p.value->cols());
-    }
-    float* value = p.value->data();
-    float* vel = v.data();
-    const float* grad = p.gradient->data();
-    for (size_t i = 0; i < p.value->size(); ++i) {
-      vel[i] = mu * vel[i] - lr * grad[i];
-      value[i] += vel[i];
-    }
-  }
-}
+namespace {
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+}  // namespace
 
 void AdamOptimizer::Step(const std::vector<Parameter>& parameters) {
   ++step_count_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(step_count_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(step_count_));
   const auto lr = static_cast<float>(learning_rate_);
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
-  const auto eps = static_cast<float>(epsilon_);
+  const auto b1 = static_cast<float>(kBeta1);
+  const auto b2 = static_cast<float>(kBeta2);
+  const auto eps = static_cast<float>(kEpsilon);
   const auto inv_bias1 = static_cast<float>(1.0 / bias1);
   const auto inv_bias2 = static_cast<float>(1.0 / bias2);
   for (const Parameter& p : parameters) {
@@ -63,20 +38,6 @@ void AdamOptimizer::Step(const std::vector<Parameter>& parameters) {
       value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
     }
   }
-}
-
-std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind,
-                                         double learning_rate) {
-  switch (kind) {
-    case OptimizerKind::kSgd:
-      return std::make_unique<SgdOptimizer>(learning_rate);
-    case OptimizerKind::kMomentum:
-      return std::make_unique<MomentumOptimizer>(learning_rate);
-    case OptimizerKind::kAdam:
-      return std::make_unique<AdamOptimizer>(learning_rate);
-  }
-  LEAPME_LOG(Fatal) << "unknown optimizer kind";
-  return nullptr;
 }
 
 }  // namespace leapme::nn

@@ -1,8 +1,7 @@
 #ifndef LEAPME_NN_OPTIMIZER_H_
 #define LEAPME_NN_OPTIMIZER_H_
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -11,54 +10,20 @@
 
 namespace leapme::nn {
 
-/// Gradient-descent optimizer interface. Learning rate is mutable so the
-/// trainer can implement the paper's stepped schedule (1e-3 -> 1e-4 -> 1e-5)
-/// without resetting optimizer state.
-class Optimizer {
+/// Adam (Kingma & Ba) with beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8: the
+/// optimizer LEAPME trains with. The learning rate is mutable so the
+/// trainer can implement the paper's stepped schedule (1e-3 -> 1e-4 ->
+/// 1e-5) without resetting the moment estimates.
+class AdamOptimizer {
  public:
-  virtual ~Optimizer() = default;
+  explicit AdamOptimizer(double learning_rate)
+      : learning_rate_(learning_rate) {}
 
   /// Applies one update to every parameter using its current gradient.
-  virtual void Step(const std::vector<Parameter>& parameters) = 0;
+  void Step(const std::vector<Parameter>& parameters);
 
   void set_learning_rate(double lr) { learning_rate_ = lr; }
   double learning_rate() const { return learning_rate_; }
-
- protected:
-  explicit Optimizer(double learning_rate) : learning_rate_(learning_rate) {}
-
-  double learning_rate_;
-};
-
-/// Plain stochastic gradient descent: p -= lr * g.
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate) : Optimizer(learning_rate) {}
-  void Step(const std::vector<Parameter>& parameters) override;
-};
-
-/// SGD with classical momentum: v = mu*v - lr*g; p += v.
-class MomentumOptimizer final : public Optimizer {
- public:
-  MomentumOptimizer(double learning_rate, double momentum = 0.9)
-      : Optimizer(learning_rate), momentum_(momentum) {}
-  void Step(const std::vector<Parameter>& parameters) override;
-
- private:
-  double momentum_;
-  std::unordered_map<const Matrix*, Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba). The default optimizer for LEAPME training.
-class AdamOptimizer final : public Optimizer {
- public:
-  explicit AdamOptimizer(double learning_rate, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8)
-      : Optimizer(learning_rate),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon) {}
-  void Step(const std::vector<Parameter>& parameters) override;
 
  private:
   struct Moments {
@@ -66,23 +31,10 @@ class AdamOptimizer final : public Optimizer {
     Matrix v;
   };
 
-  double beta1_;
-  double beta2_;
-  double epsilon_;
+  double learning_rate_;
   int64_t step_count_ = 0;
   std::unordered_map<const Matrix*, Moments> moments_;
 };
-
-/// Optimizer kinds selectable via TrainerOptions.
-enum class OptimizerKind : int {
-  kSgd = 0,
-  kMomentum = 1,
-  kAdam = 2,
-};
-
-/// Factory for the optimizer kinds.
-std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind,
-                                         double learning_rate);
 
 }  // namespace leapme::nn
 

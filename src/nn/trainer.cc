@@ -1,10 +1,10 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "common/string_util.h"
+#include "nn/optimizer.h"
 
 namespace leapme::nn {
 
@@ -25,60 +25,27 @@ StatusOr<std::vector<double>> Trainer::Fit(
   if (options_.schedule.empty()) {
     return Status::InvalidArgument("empty learning-rate schedule");
   }
-  if (options_.validation_fraction < 0.0 ||
-      options_.validation_fraction >= 1.0) {
-    return Status::InvalidArgument("validation_fraction must be in [0, 1)");
-  }
 
   const size_t n = inputs.rows();
   const size_t batch = options_.batch_size;
-  std::unique_ptr<Optimizer> optimizer =
-      MakeOptimizer(options_.optimizer, options_.schedule.front().learning_rate);
+  AdamOptimizer optimizer(options_.schedule.front().learning_rate);
 
   Rng rng(options_.shuffle_seed);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
 
-  // Optional validation holdout for early stopping: the tail of one
-  // initial shuffle.
-  size_t train_count = n;
-  Matrix validation_inputs;
-  std::vector<int32_t> validation_labels;
-  if (options_.validation_fraction > 0.0) {
-    rng.Shuffle(order);
-    auto holdout = static_cast<size_t>(options_.validation_fraction *
-                                       static_cast<double>(n));
-    holdout = std::min(holdout, n - 1);
-    if (holdout > 0) {
-      train_count = n - holdout;
-      validation_inputs.Resize(holdout, inputs.cols());
-      validation_labels.resize(holdout);
-      for (size_t i = 0; i < holdout; ++i) {
-        size_t src = order[train_count + i];
-        std::copy(inputs.row(src).begin(), inputs.row(src).end(),
-                  validation_inputs.row(i).begin());
-        validation_labels[i] = labels[src];
-      }
-      order.resize(train_count);
-    }
-  }
-
   std::vector<double> epoch_losses;
   Matrix batch_inputs;
   std::vector<int32_t> batch_labels;
-  double best_validation = std::numeric_limits<double>::infinity();
-  size_t epochs_without_improvement = 0;
 
   for (const LrPhase& phase : options_.schedule) {
-    optimizer->set_learning_rate(phase.learning_rate);
+    optimizer.set_learning_rate(phase.learning_rate);
     for (size_t epoch = 0; epoch < phase.epochs; ++epoch) {
-      if (options_.shuffle) {
-        rng.Shuffle(order);
-      }
+      rng.Shuffle(order);
       double loss_sum = 0.0;
       size_t batches = 0;
-      for (size_t start = 0; start < train_count; start += batch) {
-        size_t end = std::min(start + batch, train_count);
+      for (size_t start = 0; start < n; start += batch) {
+        size_t end = std::min(start + batch, n);
         size_t rows = end - start;
         batch_inputs.Resize(rows, inputs.cols());
         batch_labels.resize(rows);
@@ -88,20 +55,10 @@ StatusOr<std::vector<double>> Trainer::Fit(
                     batch_inputs.row(i).begin());
           batch_labels[i] = labels[src];
         }
-        loss_sum += mlp.TrainBatch(batch_inputs, batch_labels, *optimizer);
+        loss_sum += mlp.TrainBatch(batch_inputs, batch_labels, optimizer);
         ++batches;
       }
       epoch_losses.push_back(loss_sum / static_cast<double>(batches));
-
-      if (validation_labels.empty()) continue;
-      double validation_loss =
-          mlp.EvaluateLoss(validation_inputs, validation_labels);
-      if (validation_loss + 1e-6 < best_validation) {
-        best_validation = validation_loss;
-        epochs_without_improvement = 0;
-      } else if (++epochs_without_improvement >= options_.patience) {
-        return epoch_losses;  // early stop
-      }
     }
   }
   return epoch_losses;

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "nn/mlp.h"
-#include "nn/optimizer.h"
 
 namespace leapme::nn {
 
@@ -27,18 +26,11 @@ struct TrainerOptions {
       {5, 1e-4},
       {5, 1e-5},
   };
-  OptimizerKind optimizer = OptimizerKind::kAdam;
+  /// Seeds the per-epoch shuffle of the training rows.
   uint64_t shuffle_seed = 7;
-  bool shuffle = true;
-  /// Fraction of rows held out as a validation set for early stopping
-  /// (0 disables early stopping — the paper trains the full schedule).
-  double validation_fraction = 0.0;
-  /// With validation enabled: stop after this many consecutive epochs
-  /// without validation-loss improvement.
-  size_t patience = 3;
 };
 
-/// Drives mini-batch training of an Mlp over a fixed design matrix.
+/// Drives mini-batch Adam training of an Mlp over a fixed design matrix.
 class Trainer {
  public:
   explicit Trainer(TrainerOptions options = {})

@@ -555,13 +555,6 @@ StatusOr<std::vector<MatchResult>> MatcherService::TopK(
   });
 }
 
-StatusOr<IndexMatchOutcome> MatcherService::IndexMatch(
-    const PropertySpec& query, size_t k, Deadline deadline, bool* degraded) {
-  return Await<IndexMatchOutcome>(deadline, degraded, [&](auto done) {
-    StartIndexMatch(query, k, deadline, std::move(done));
-  });
-}
-
 std::string MatcherService::HandleLine(std::string_view line,
                                        Deadline deadline) {
   StatusOr<std::string> response =

@@ -112,19 +112,6 @@ class MatcherService {
       const std::vector<PropertySpec>& candidates, size_t k,
       Deadline deadline, bool* degraded);
 
-  /// Answers one index_match request: blocks `query` against the catalog
-  /// attached through ModelRegistry::AttachCatalog (FailedPrecondition
-  /// when none is attached), scores the blocked candidates through the
-  /// micro-batcher, and returns the k best catalog properties (score
-  /// descending, property id ascending on ties) plus blocking metrics.
-  /// When candidate generation itself fails (e.g. an injected embedding
-  /// fault inside an LSH blocker), the request degrades to scoring the
-  /// full catalog instead of failing: `*degraded` is set and the
-  /// response stays usable. Deadline and overload semantics match
-  /// Score/TopK, with the deadline also covering the blocking step.
-  StatusOr<IndexMatchOutcome> IndexMatch(const PropertySpec& query, size_t k,
-                                         Deadline deadline, bool* degraded);
-
   /// Full protocol dispatch for one request line: parse, execute,
   /// serialize, then run `done` exactly once with the response line,
   /// without its newline (protocol
@@ -287,7 +274,7 @@ class MatcherService {
   /// Runs `job`'s completion with its scores, or with its failure.
   void FinishJob(ScoreJob& job);
 
-  /// The one wait behind HandleLine, Score, TopK and IndexMatch: runs
+  /// The one wait behind HandleLine, Score and TopK: runs
   /// `start` and blocks until its completion runs or `deadline` passes;
   /// sets `*degraded` (may be null) as the outcome says.
   template <typename T>

@@ -64,7 +64,7 @@ class ReactorServer;
 /// gracefully — it stops accepting, lets requests already received
 /// finish writing their responses, and joins all threads. Stop() is
 /// idempotent and also runs on destruction. ServeUntilShutdown() parks
-/// the caller until SIGINT / SIGTERM (or RequestShutdown()), then Stops.
+/// the caller until SIGINT or SIGTERM, then Stops.
 class TcpServer {
  public:
   /// `service` must outlive the server.

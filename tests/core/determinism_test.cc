@@ -3,6 +3,9 @@
 // (DESIGN.md "Execution model"). Runs the full Fit + ScorePairs +
 // ScorePairsOn path at 1, 2 and 4 threads and compares exact doubles.
 
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
@@ -122,6 +125,54 @@ TEST_F(DeterminismTest, ScoresIndependentOfBatchSize) {
   const RunResult big = RunAt(4, 4096);
   const RunResult small = RunAt(4, 7);
   ExpectIdentical(big.scores, small.scores, "scores (batch 4096 vs 7)");
+}
+
+/// FNV-1a (64-bit) over the bit patterns of a run's training losses,
+/// decision threshold and ScorePairs scores.
+class BitHasher {
+ public:
+  void Add(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (bits >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(const std::vector<double>& values) {
+    for (double value : values) Add(value);
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST_F(DeterminismTest, TrainedBitsMatchGolden) {
+  // Pins what training produces, not just that it is thread-invariant: a
+  // refactor of the network, optimizer or trainer must leave every loss,
+  // threshold and score bit-identical. Covers the default fit and the
+  // calibrated fit (holdout inference + best-F1 threshold).
+  constexpr uint64_t kGolden = 0xcbe0b2996f1b247dULL;
+  std::vector<data::PropertyPair> pairs;
+  for (const data::LabeledPair& labeled : *test_pairs_) {
+    pairs.push_back(labeled.pair);
+  }
+  for (size_t threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    BitHasher hasher;
+    for (double calibration : {0.0, 0.25}) {
+      LeapmeOptions options;
+      options.calibration_fraction = calibration;
+      LeapmeMatcher matcher(model_, options);
+      ASSERT_TRUE(matcher.Fit(*dataset_, *train_pairs_).ok());
+      hasher.Add(matcher.training_losses());
+      hasher.Add(matcher.decision_threshold());
+      hasher.Add(matcher.ScorePairs(pairs).value());
+    }
+    EXPECT_EQ(hasher.hash(), kGolden)
+        << "threads " << threads << ": 0x" << std::hex << hasher.hash();
+  }
 }
 
 TEST_F(DeterminismTest, GemmBitIdenticalAcrossThreadCounts) {

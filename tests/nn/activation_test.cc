@@ -1,7 +1,5 @@
 #include "nn/activation.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace leapme::nn {
@@ -37,30 +35,6 @@ TEST(ReluTest, OutputDimIsIdentity) {
   EXPECT_EQ(relu.OutputDim(17), 17u);
   EXPECT_TRUE(relu.Parameters().empty());
   EXPECT_EQ(relu.TypeName(), "relu");
-}
-
-TEST(TanhTest, ForwardAppliesTanh) {
-  TanhLayer tanh_layer;
-  Matrix input(1, 3, {-1, 0, 2});
-  Matrix output;
-  tanh_layer.Forward(input, &output);
-  EXPECT_NEAR(output(0, 0), std::tanh(-1.0), 1e-6);
-  EXPECT_NEAR(output(0, 1), 0.0, 1e-6);
-  EXPECT_NEAR(output(0, 2), std::tanh(2.0), 1e-6);
-}
-
-TEST(TanhTest, BackwardUsesDerivative) {
-  TanhLayer tanh_layer;
-  Matrix input(1, 2, {0, 1});
-  Matrix output;
-  tanh_layer.Forward(input, &output);
-  Matrix grad_out(1, 2, {1, 1});
-  Matrix grad_in;
-  tanh_layer.Backward(grad_out, &grad_in);
-  // d tanh(0) = 1; d tanh(1) = 1 - tanh(1)^2.
-  EXPECT_NEAR(grad_in(0, 0), 1.0, 1e-6);
-  double t = std::tanh(1.0);
-  EXPECT_NEAR(grad_in(0, 1), 1.0 - t * t, 1e-6);
 }
 
 }  // namespace

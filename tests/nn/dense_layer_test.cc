@@ -142,5 +142,37 @@ TEST(DenseLayerTest, InputGradientMatchesNumerical) {
   }
 }
 
+TEST(DenseLayerTest, NullInputGradientLeavesParameterGradientsUnchanged) {
+  // The first layer of a network skips dLoss/dInput; its weight and bias
+  // gradients must be bit-identical to a full Backward.
+  Rng rng(13);
+  DenseLayer full(3, 2, rng);
+  DenseLayer skip(full.weights(), {full.bias()(0, 0), full.bias()(0, 1)});
+  Matrix input(4, 3);
+  Matrix grad_output(4, 2);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input.data()[i] = static_cast<float>(rng.NextDouble(-1.0, 1.0));
+  }
+  for (size_t i = 0; i < grad_output.size(); ++i) {
+    grad_output.data()[i] = static_cast<float>(rng.NextDouble(-1.0, 1.0));
+  }
+  Matrix output;
+  Matrix grad_input;
+  full.Forward(input, &output);
+  full.Backward(grad_output, &grad_input);
+  skip.Forward(input, &output);
+  skip.Backward(grad_output, nullptr);
+  auto expected = full.Parameters();
+  auto actual = skip.Parameters();
+  for (size_t p = 0; p < expected.size(); ++p) {
+    const Matrix& a = *expected[p].gradient;
+    const Matrix& b = *actual[p].gradient;
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.data()[i], b.data()[i]) << expected[p].name << " " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace leapme::nn

@@ -66,11 +66,6 @@ TEST(MatrixTest, AddInPlace) {
   EXPECT_FLOAT_EQ(a(0, 1), 22.0f);
 }
 
-TEST(MatrixTest, SquaredNorm) {
-  Matrix m(1, 3, {1, 2, 2});
-  EXPECT_DOUBLE_EQ(m.SquaredNorm(), 9.0);
-}
-
 TEST(MatrixTest, ShapeString) {
   EXPECT_EQ(Matrix(3, 4).ShapeString(), "3x4");
 }

@@ -43,7 +43,7 @@ TEST(MlpTest, PredictProducesProbabilities) {
   Rng rng(3);
   Mlp mlp = BuildMlp(2, {4}, 2, rng);
   Matrix probabilities;
-  mlp.Predict(XorInputs(), &probabilities);
+  mlp.Infer(XorInputs(), &probabilities);
   for (size_t r = 0; r < 4; ++r) {
     EXPECT_NEAR(probabilities(r, 0) + probabilities(r, 1), 1.0f, 1e-5);
   }
@@ -63,7 +63,7 @@ TEST(MlpTest, LearnsXor) {
   }
   EXPECT_LT(loss, 0.05);
   Matrix probabilities;
-  mlp.Predict(inputs, &probabilities);
+  mlp.Infer(inputs, &probabilities);
   for (size_t r = 0; r < 4; ++r) {
     int32_t predicted = probabilities(r, 1) >= 0.5f ? 1 : 0;
     EXPECT_EQ(predicted, labels[r]) << "row " << r;
@@ -97,7 +97,7 @@ TEST(MlpSerializationTest, SaveLoadRoundTrip) {
   Mlp mlp = BuildMlp(3, {4}, 2, rng);
   Matrix input(2, 3, {0.1f, -0.2f, 0.3f, 0.5f, 0.0f, -0.7f});
   Matrix before;
-  mlp.Predict(input, &before);
+  mlp.Infer(input, &before);
 
   std::string path = test::ProcessTempPath("mlp_roundtrip.txt");
   ASSERT_TRUE(SaveMlp(mlp, path).ok());
@@ -105,7 +105,7 @@ TEST(MlpSerializationTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   Matrix after;
-  loaded->Predict(input, &after);
+  loaded->Infer(input, &after);
   ASSERT_EQ(after.rows(), before.rows());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_NEAR(after.data()[i], before.data()[i], 1e-5);
@@ -138,11 +138,18 @@ TEST(MlpSerializationTest, LoadRejectsTruncatedModel) {
 
 TEST(MlpSerializationTest, LoadRejectsUnknownLayerType) {
   std::string path = test::ProcessTempPath("unknown_layer.txt");
-  {
-    std::ofstream out(path);
-    out << "leapme-mlp 1\n1\nconv2d\n";
+  for (const char* layer : {"conv2d\n", "tanh\n", "dropout\n0.5\n"}) {
+    {
+      std::ofstream out(path);
+      out << "leapme-mlp 1\n1\n" << layer;
+    }
+    auto loaded = LoadMlp(path);
+    ASSERT_FALSE(loaded.ok()) << layer;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << layer;
+    EXPECT_NE(loaded.status().message().find("unknown layer type"),
+              std::string::npos)
+        << loaded.status();
   }
-  EXPECT_FALSE(LoadMlp(path).ok());
 }
 
 }  // namespace

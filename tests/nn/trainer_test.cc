@@ -128,19 +128,5 @@ TEST(TrainerTest, BatchLargerThanDatasetWorks) {
   EXPECT_TRUE(losses.ok());
 }
 
-TEST(TrainerTest, NoShuffleOptionStillTrains) {
-  TrainerOptions options;
-  options.shuffle = false;
-  Trainer trainer(options);
-  Matrix inputs;
-  std::vector<int32_t> labels;
-  MakeProblem(64, &inputs, &labels, 7);
-  Rng rng(17);
-  Mlp mlp = BuildMlp(2, {8}, 2, rng);
-  auto losses = trainer.Fit(mlp, inputs, labels);
-  ASSERT_TRUE(losses.ok());
-  EXPECT_LT(losses->back(), losses->front());
-}
-
 }  // namespace
 }  // namespace leapme::nn
